@@ -1,6 +1,6 @@
 """Return-map laboratory for up/down/two-sided Lorenz attractors."""
 
-from .circle import Arc, ArcUnion, arc_contains, circle_dist, dist_ccw, norm1, split_arc_at
+from .circle import Arc, ArcUnion, arc_contains, circle_dist, dist_ccw, norm1
 from .maps import (
     PHI,
     PLUS,
@@ -39,7 +39,6 @@ from .atlas import (
     golden_bound,
     horseshoe_certificate,
     iterate_segments,
-    sigma_components,
     trapping_interval,
 )
 from .annulus import (

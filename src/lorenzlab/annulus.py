@@ -75,17 +75,21 @@ def apply_skew(skew: SkewModel, p: tuple[float, float]) -> tuple[float, float]:
     return (skew.base.f(x), eta + skew.kappa * math.sin(math.pi * t / L) * y)
 
 
-def apply_skew_np(skew: SkewModel, x, y):
-    """Vectorized skew step; callers keep samples off the discontinuities."""
-    base = skew.base
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+def _pinch_terms(base: MapModel, x):
+    """Per-sample branch mask, pinch rho(t) = sin(pi t / L) and its slope."""
     in1 = x < base.c_minus
     t = np.where(in1, x, x - base.c_minus)
     L = np.where(in1, base.profile1.length, base.profile2.length)
+    return in1, np.sin(np.pi * t / L), (np.pi / L) * np.cos(np.pi * t / L)
+
+
+def apply_skew_np(skew: SkewModel, x, y):
+    """Vectorized skew step; callers keep samples off the discontinuities."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    in1, rho, _ = _pinch_terms(skew.base, x)
     eta = np.where(in1, skew.eta1, skew.eta2)
-    rho = np.sin(np.pi * t / L)
-    return base.f_np(x), eta + skew.kappa * rho * y
+    return skew.base.f_np(x), eta + skew.kappa * rho * y
 
 
 @dataclass
@@ -129,12 +133,8 @@ def verify_cones(skew: SkewModel, grid_x: int = 1000, grid_y: int = 100,
     x = X.ravel()
     y = Y.ravel()
 
-    in1 = x < base.c_minus
-    t = np.where(in1, x, x - base.c_minus)
-    L = np.where(in1, base.profile1.length, base.profile2.length)
     fprime = base.deriv_np(x)
-    rho = np.sin(np.pi * t / L)
-    drho = (np.pi / L) * np.cos(np.pi * t / L)
+    _, rho, drho = _pinch_terms(base, x)
     dy_dx = skew.kappa * drho * y
     dy_dy = skew.kappa * rho
 
@@ -151,23 +151,15 @@ def verify_cones(skew: SkewModel, grid_x: int = 1000, grid_y: int = 100,
     xo, yo = x.copy(), y.copy()
     s = np.zeros_like(xo)
     for _ in range(settle):
-        in1o = xo < base.c_minus
-        to = np.where(in1o, xo, xo - base.c_minus)
-        Lo = np.where(in1o, base.profile1.length, base.profile2.length)
         fpo = base.deriv_np(xo)
-        rho_o = np.sin(np.pi * to / Lo)
-        drho_o = (np.pi / Lo) * np.cos(np.pi * to / Lo)
+        _, rho_o, drho_o = _pinch_terms(base, xo)
         s = (skew.kappa * drho_o * yo + skew.kappa * rho_o * s) / fpo
         xo, yo = apply_skew_np(skew, xo, yo)
         # collapse samples that drifted onto a discontinuity
         bad = (np.abs(xo) < eps) | (np.abs(xo - 1.0) < eps) | (np.abs(xo - base.c_minus) < eps)
         xo = np.where(bad, 0.25 * base.c_minus, xo)
-    in1o = xo < base.c_minus
-    to = np.where(in1o, xo, xo - base.c_minus)
-    Lo = np.where(in1o, base.profile1.length, base.profile2.length)
     fpo = base.deriv_np(xo)
-    rho_o = np.sin(np.pi * to / Lo)
-    drho_o = (np.pi / Lo) * np.cos(np.pi * to / Lo)
+    _, rho_o, drho_o = _pinch_terms(base, xo)
     fiber_norm = skew.kappa * rho_o
     u_norm = np.sqrt(1.0 + s * s)
     img = np.sqrt(fpo ** 2 + (skew.kappa * drho_o * yo + skew.kappa * rho_o * s) ** 2)

@@ -13,18 +13,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .circle import Arc, ArcUnion, arc_contains, circle_dist, dist_ccw, norm1
 from .errors import (
     ArcBudgetExceeded,
     LambdaBelowPhi,
-    NoFixedPoints,
     NotMarkov,
     NoTrappingInterval,
     PreconditionError,
 )
-from .maps import PHI, SNAP, MapModel, fixed_points
+from .maps import PHI, SNAP, MapModel, fixed_points, inverse_branch
 
 # stratum labels
 O_MM = "O--"
@@ -137,22 +134,6 @@ def classify(model: MapModel, tol: float = SNAP) -> RegionVerdict:
                          p1=fp.p1, p2=fp.p2, sigma_plus=sp, sigma_minus=sm)
 
 
-@dataclass
-class SigmaComponents:
-    sigma_plus: Arc
-    sigma_minus: Arc
-
-
-def sigma_components(model: MapModel) -> SigmaComponents:
-    """The two components cut out of the circle by the fixed points; the plus
-    component is the one through c+ = 0."""
-    fp = fixed_points(model)
-    if fp.p1 is None or fp.p2 is None:
-        raise NoFixedPoints("both branch fixed points are required")
-    return SigmaComponents(sigma_plus=Arc(fp.p2, fp.p1),
-                           sigma_minus=Arc(fp.p1, fp.p2))
-
-
 @dataclass(frozen=True)
 class GoldenBound:
     lhs: float
@@ -246,8 +227,8 @@ def iterate_segments(model: MapModel, seed: Arc, maxN: int, eps: float,
         if len(pieces) > ARC_BUDGET:
             raise ArcBudgetExceeded(f"{len(pieces)} arcs at step {step}")
         family = ArcUnion()
-        family.add_many([Arc(lo, hi if hi < 1.0 else 0.0) for lo, hi in pieces])
-        union.add_many([Arc(lo, hi if hi < 1.0 else 0.0) for lo, hi in pieces])
+        family.add_many(pieces)
+        union.add_many(pieces)
         history.append(union.total_length)
         iterations = step
         if 1.0 - union.total_length < eps:
@@ -261,7 +242,8 @@ def iterate_segments(model: MapModel, seed: Arc, maxN: int, eps: float,
         if (circle_dist(model.q1, d) <= SNAP and circle_dist(model.q2, d) <= SNAP
                 and all(circle_dist(m, d) > SNAP for m in missed)):
             missed.append(d)
-    terminal = [Arc(lo, hi if hi < 1.0 else 0.0) for lo, hi in family.intervals()]
+    terminal = [Arc(lo, hi if hi < 1.0 else 0.0, full=hi - lo >= 1.0)
+                for lo, hi in family.intervals()]
     return CoverageCertificate(
         seed=seed, iterations_used=iterations,
         covered_fraction=union.total_length,
@@ -279,76 +261,49 @@ class TrappingCertificate:
     invariance_margin: float
 
 
-def _clearance(model: MapModel, region: Arc, samples: int = 10_000) -> float:
-    """Sampled clearance of f(region minus the contained discontinuity) inside
-    region: min over samples of the distance from the image to both ends."""
-    xs = region.start + np.linspace(0.0, region.length, samples)
-    xs = np.mod(xs, 1.0)
-    keep = (np.minimum(np.abs(xs), np.abs(xs - 1.0)) > 1e-12)
-    keep &= np.abs(xs - model.c_minus) > 1e-12
-    fx = model.f_np(xs[keep])
-    da = np.mod(fx - region.start, 1.0)
-    clear = np.minimum(da, region.length - da)
-    inside = (da > 0) & (da < region.length)
-    if not inside.all():
-        return -1.0
-    return float(clear.min())
+def _clearance(model: MapModel, region: Arc) -> float:
+    """Exact clearance of f(region minus its discontinuity) inside region.
+
+    Both branches are increasing, so the pieces on either side of the
+    discontinuity d that region contains map onto two arcs, from f(start) to
+    the cusp of the first piece's branch and from the cusp of the second
+    piece's branch to f(end).  The clearance is the least distance from those
+    arcs to the ends of region, or -1 when one of them leaves region.
+    """
+    d = 0.0 if arc_contains(region, 0.0) else model.c_minus
+    clear = []
+    for lo, hi in ((region.start, d or 1.0), (d, region.end)):
+        branch = model.branch_of(lo)
+        a = model.lift(branch, lo)
+        u = dist_ccw(region.start, norm1(a))
+        v = u + (model.lift(branch, hi) - a)
+        if u <= 0.0 or v >= region.length:
+            return -1.0
+        clear += [u, region.length - v]
+    return min(clear)
 
 
-def _ternary_max(fn, lo: float, hi: float, iters: int = 200) -> tuple[float, float]:
-    for _ in range(iters):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if fn(m1) < fn(m2):
-            lo = m1
-        else:
-            hi = m2
-    mid = 0.5 * (lo + hi)
-    return mid, fn(mid)
-
-
-def trapping_interval(model: MapModel, verdict: RegionVerdict | None = None,
-                      samples: int = 10_000) -> TrappingCertificate:
+def trapping_interval(model: MapModel,
+                      verdict: RegionVerdict | None = None) -> TrappingCertificate:
     """Forward-invariant leaf interval isolating the up/down Lorenz attractor.
 
     Two separating leaves are chosen, one between each cusp and the fixed
-    point on its side; each leaf is placed by a ternary search maximizing its
-    own clearance (the two clearances are independent), and the certificate is
-    re-verified by sampling the map on the trapped region.
+    point on its side.  A leaf l beside the cusp q has clearance
+    min(|f(l) - l|, |q - l|), which peaks where f(l) = q, so the leaves are
+    l1 = f_1^-1(q2) and l2 = f_2^-1(q1); the invariance margin is the exact
+    clearance of the image of the trapped region.
     """
     v = verdict if verdict is not None else classify(model)
     if v.stratum in (HE1_AND_HE2, DEGENERATE):
-        sc = sigma_components(model)
-        return TrappingCertificate(l1=v.p1, l2=v.p2, R_L=sc.sigma_plus,
+        return TrappingCertificate(l1=v.p1, l2=v.p2, R_L=v.sigma_plus,
                                    invariance_margin=0.0)
     if v.dynamics not in (UP_LORENZ, DOWN_LORENZ):
         raise NoTrappingInterval(f"classification {v.stratum} is not L+/L-")
-    p1, p2, q1, q2 = v.p1, v.p2, model.q1, model.q2
-
-    if v.dynamics == UP_LORENZ:
-        # R_L runs ccw from l2 (between p2 and q1) through 0 to l1 (between q2, p1)
-        def m_l2(l2):
-            return min(model.f(l2) - l2, q1 - l2)
-
-        def m_l1(l1):
-            return min(l1 - q2, l1 - model.f(l1))
-
-        l2, _ = _ternary_max(m_l2, p2 + 1e-12, q1 - 1e-12)
-        l1, _ = _ternary_max(m_l1, q2 + 1e-12, p1 - 1e-12)
-        region = Arc(l2, l1)
-    else:
-        # R_L = (l1, l2) around c-, with l1 in (p1, q2) and l2 in (q1, p2)
-        def m_l1(l1):
-            return min(model.f(l1) - l1, q2 - l1)
-
-        def m_l2(l2):
-            return min(l2 - q1, l2 - model.f(l2))
-
-        l1, _ = _ternary_max(m_l1, p1 + 1e-12, q2 - 1e-12)
-        l2, _ = _ternary_max(m_l2, q1 + 1e-12, p2 - 1e-12)
-        region = Arc(l1, l2)
-
-    margin = _clearance(model, region, samples)
+    l1 = inverse_branch(model, 1, model.q2)
+    l2 = inverse_branch(model, 2, model.q1)
+    # up: R_L runs ccw from l2 through c+ to l1; down: from l1 through c- to l2
+    region = Arc(l2, l1) if v.dynamics == UP_LORENZ else Arc(l1, l2)
+    margin = _clearance(model, region)
     if margin <= 0.0:
         raise NoTrappingInterval("no positively invariant interval found")
     return TrappingCertificate(l1=l1, l2=l2, R_L=region, invariance_margin=margin)

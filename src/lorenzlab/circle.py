@@ -71,28 +71,6 @@ def arc_contains(arc: Arc, p: float) -> bool:
     return TOL < d < arc.length - TOL
 
 
-def split_arc_at(arc: Arc, cuts) -> list[Arc]:
-    """Maximal sub-arcs of ``arc`` with no cut interior, ccw from arc.start.
-
-    Cuts outside the arc are ignored.  Splitting the full circle at a single
-    point returns one full-length arc anchored there.
-    """
-    if arc.is_empty:
-        return []
-    if arc.full:
-        inside = sorted({norm1(c) for c in cuts},
-                        key=lambda c: dist_ccw(arc.start, c))
-        if not inside:
-            return [arc]
-        if len(inside) == 1:
-            return [Arc(inside[0], inside[0], full=True)]
-        return [Arc(a, b) for a, b in zip(inside, inside[1:] + inside[:1])]
-    inside = sorted({norm1(c) for c in cuts if arc_contains(arc, c)},
-                    key=lambda c: dist_ccw(arc.start, c))
-    points = [arc.start] + inside + [arc.end]
-    return [Arc(a, b) for a, b in zip(points, points[1:])]
-
-
 class ArcUnion:
     """Union of arcs kept as sorted disjoint intervals in linear [0, 1] coords.
 
@@ -118,12 +96,11 @@ class ArcUnion:
         return pieces
 
     def add(self, arc: Arc) -> None:
-        self.add_many([arc])
+        self.add_many(self._linear_pieces(arc))
 
-    def add_many(self, arcs) -> None:
-        new = self._iv[:]
-        for arc in arcs:
-            new.extend(self._linear_pieces(arc))
+    def add_many(self, pieces) -> None:
+        """Merge linear pieces (lo, hi) with 0 <= lo, hi <= 1; empty ones drop."""
+        new = self._iv + list(pieces)
         new.sort()
         merged: list[tuple[float, float]] = []
         for lo, hi in new:
@@ -140,9 +117,6 @@ class ArcUnion:
     def total_length(self) -> float:
         return sum(hi - lo for lo, hi in self._iv)
 
-    def covers_circle(self, eps: float = TOL) -> bool:
-        return 1.0 - self.total_length < eps
-
     def gaps(self) -> list[Arc]:
         """Complement components, as circle arcs (the pair flanking 0 joined)."""
         if not self._iv:
@@ -157,12 +131,6 @@ class ArcUnion:
         if wrap > 0.0:
             out.append(Arc(norm1(last_hi), first_lo))
         return out
-
-    def largest_gap(self) -> Arc | None:
-        gaps = self.gaps()
-        if not gaps:
-            return None
-        return max(gaps, key=lambda g: g.length)
 
     def intervals(self) -> list[tuple[float, float]]:
         return self._iv[:]

@@ -15,9 +15,10 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -66,31 +67,37 @@ from .symbolic import (
 # config
 
 
+def _is_number(v) -> bool:
+    """A finite int or float; JSON booleans, NaN and Infinity are not numbers."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and math.isfinite(v))
+
+
 def _range01(lo_open=False, hi_open=False, lo=0.0, hi=1.0):
     def check(v, field):
-        ok = (lo < v if lo_open else lo <= v) and (v < hi if hi_open else v <= hi)
-        if not isinstance(v, (int, float)) or not ok:
+        if not _is_number(v) or not (
+                (lo < v if lo_open else lo <= v) and (v < hi if hi_open else v <= hi)):
             raise ValidationError(field, f"must be in the range {lo}..{hi}")
     return check
 
 
 def _positive_int(minimum=1):
     def check(v, field):
-        if not isinstance(v, int) or v < minimum:
+        if not isinstance(v, int) or isinstance(v, bool) or v < minimum:
             raise ValidationError(field, f"must be an integer >= {minimum}")
     return check
 
 
 def _number(field_ok=lambda v: True, message="must be a number"):
     def check(v, field):
-        if not isinstance(v, (int, float)) or not field_ok(v):
+        if not _is_number(v) or not field_ok(v):
             raise ValidationError(field, message)
     return check
 
 
 def _pair(v, field):
     if (not isinstance(v, (list, tuple)) or len(v) != 2
-            or not all(isinstance(x, (int, float)) for x in v)):
+            or not all(_is_number(x) for x in v)):
         raise ValidationError(field, "must be a pair of numbers")
 
 
@@ -298,9 +305,7 @@ def _arc_json(arc: Arc | None):
 
 def _sweep_cell(args):
     params, alpha, beta = args
-    model = build_model(ModelParams(alpha=alpha, beta=beta, c_minus=params.c_minus,
-                                    theta1=params.theta1, theta2=params.theta2,
-                                    lambda_min_required=params.lambda_min_required))
+    model = build_model(replace(params, alpha=alpha, beta=beta))
     v = classify(model)
     return [alpha, beta, v.stratum, v.dynamics, v.margin, model.lambda_min]
 
@@ -350,9 +355,7 @@ def run_path(config: Config):
         t = k / (steps - 1)
         alpha = a0 + (a1 - a0) * t
         beta = b0 + (b1 - b0) * t
-        model = build_model(ModelParams(alpha=alpha, beta=beta, c_minus=params.c_minus,
-                                        theta1=params.theta1, theta2=params.theta2,
-                                        lambda_min_required=params.lambda_min_required))
+        model = build_model(replace(params, alpha=alpha, beta=beta))
         span = attractor_span(model, maxN=eng["max_iterations"], eps=eng["eps"])
         trap = ""
         if span.verdict.dynamics in (atlas.UP_LORENZ, atlas.DOWN_LORENZ):
@@ -395,9 +398,7 @@ def _degree_family(config: Config):
     kind = config["degree"]["family"]
 
     def build(alpha, beta):
-        return build_model(ModelParams(alpha=alpha, beta=beta, c_minus=params.c_minus,
-                                       theta1=params.theta1, theta2=params.theta2,
-                                       lambda_min_required=params.lambda_min_required))
+        return build_model(replace(params, alpha=alpha, beta=beta))
 
     if kind == "rotation":
         return lambda m1, m2: build(params.alpha + m1, params.beta + m2)
@@ -574,6 +575,15 @@ COMMANDS = {
 }
 
 
+def _read_config(path: Path | None) -> str:
+    if path is None:
+        return "{}"
+    try:
+        return path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="lorenzlab",
@@ -586,8 +596,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        text = args.config.read_text() if args.config else "{}"
-        config = load_config(text)
+        config = load_config(_read_config(args.config))
         args.out.mkdir(parents=True, exist_ok=True)
         COMMANDS[args.command](config, args.out)
     except ConfigError as exc:

@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all lorenzlab modules.
 
 Three base classes drive the CLI exit codes: ConfigError -> 2,
-PreconditionError -> 3, BudgetError -> 4.
+PreconditionError -> 3, BudgetError -> 4.  Every concrete error class below
+derives from one of them.
 """
 
 
@@ -57,7 +58,7 @@ class EmptyWord(PreconditionError):
     pass
 
 
-class EmptyCylinder(LorenzLabError):
+class EmptyCylinder(PreconditionError):
     """Backward cylinder construction emptied out: the word is not realizable."""
 
     def __init__(self, depth):
@@ -74,11 +75,19 @@ class KneadingMismatch(PreconditionError):
         super().__init__(f"kneading words differ: {word} at index {index}")
 
 
+class KneadingRecursionViolated(PreconditionError):
+    """A boundary itinerary disagrees with the one-step kneading recursion.
+
+    Seen when a cusp sits just outside SNAP of c+, which puts a zero-preimage
+    within SNAP of c- so that the two region boundaries snap together."""
+
+    def __init__(self, word, direct, recursive):
+        self.word = word
+        super().__init__(
+            f"kneading recursion violated for {word}: {direct} vs {recursive}")
+
+
 # --- atlas / certificates ------------------------------------------------
-
-class NoFixedPoints(PreconditionError):
-    pass
-
 
 class LambdaBelowPhi(PreconditionError):
     pass
@@ -88,7 +97,7 @@ class NoTrappingInterval(PreconditionError):
     """Classification is not an up/down Lorenz region."""
 
 
-class NotMarkov(LorenzLabError):
+class NotMarkov(PreconditionError):
     """A horseshoe crossing fails to cover the strip."""
 
 
@@ -106,7 +115,7 @@ class OnDiscontinuity(PreconditionError):
     pass
 
 
-class TrackingLost(LorenzLabError):
+class TrackingLost(PreconditionError):
     """Continuous tracking of a cusp along a parameter loop jumped too far."""
 
 

@@ -20,6 +20,7 @@ segment-growth argument downstream.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -40,6 +41,8 @@ PHI = (1.0 + math.sqrt(5.0)) / 2.0
 # keeps the classification and the signed-point automaton deterministic.
 SNAP = 1e-9
 
+# Bracket width at which the fixed-point and branch-inverse bisections stop;
+# those roots (and a*, b*, which are branch inverses) carry at most this error.
 ROOT_TOL = 1e-12
 TWO_PI = 2.0 * math.pi
 
@@ -95,11 +98,12 @@ class BranchProfile:
 
 @dataclass(frozen=True)
 class MapModel:
-    """Built model with cached cusps, zero-preimages and slope bounds.
+    """Built model with cached cusps and slope bounds.
 
     a_star / b_star are the unique interior solutions of f = 0 on each branch
     (None when the cusp sits on c+, in which case the corresponding itinerary
-    region degenerates).  Immutable; safe to share across sweep workers.
+    region degenerates); they are solved on first access, since only the
+    symbolic layer reads them.  Immutable; safe to share across sweep workers.
     """
 
     params: ModelParams
@@ -108,10 +112,20 @@ class MapModel:
     q2: float
     profile1: BranchProfile
     profile2: BranchProfile
-    a_star: float | None
-    b_star: float | None
     lambda_min: float
     lambda_max: float
+
+    @functools.cached_property
+    def a_star(self) -> float | None:
+        if circle_dist(self.q1, 0.0) <= SNAP:
+            return None
+        return _bisect_lift(self, 1, 1.0, 0.0, self.c_minus)
+
+    @functools.cached_property
+    def b_star(self) -> float | None:
+        if circle_dist(self.q2, 0.0) <= SNAP:
+            return None
+        return _bisect_lift(self, 2, 1.0, self.c_minus, 1.0)
 
     # -- branch geometry ---------------------------------------------------
 
@@ -151,22 +165,37 @@ class MapModel:
         return None
 
 
+def bisect_increasing(fn, target: float, lo: float, hi: float,
+                      tol: float = 0.0) -> float:
+    """Solve fn(x) = target for fn increasing, with fn(lo) < target <= fn(hi).
+
+    Halves the bracket until it is at most tol wide or, with tol = 0, until
+    its midpoint no longer splits it (float resolution).  A midpoint where fn
+    hits target exactly is returned at once.  This is the package's only
+    root finder.
+    """
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        value = fn(mid)
+        if value == target:
+            return mid
+        if value < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def _bisect_lift(model: MapModel, branch: int, target: float,
                  lo: float, hi: float) -> float:
-    """Solve lift(branch, x) = target on [lo, hi]; the lift is increasing."""
+    """Solve lift(branch, x) = target on [lo, hi], clamped to the ends."""
     if target <= model.lift(branch, lo):
         return lo
     if target >= model.lift(branch, hi):
         return hi
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= ROOT_TOL:
-            break
-        if model.lift(branch, mid) > target:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return bisect_increasing(lambda x: model.lift(branch, x), target, lo, hi, ROOT_TOL)
 
 
 def build_model(params: ModelParams) -> MapModel:
@@ -182,23 +211,12 @@ def build_model(params: ModelParams) -> MapModel:
         raise ExpansionTooWeak(
             f"minimal slope {lambda_min:.6f} <= required {params.lambda_min_required:.6f}")
     q1, q2 = norm1(params.alpha), norm1(params.beta)
-    model = MapModel(
+    return MapModel(
         params=params, c_minus=c, q1=q1, q2=q2,
         profile1=prof1, profile2=prof2,
-        a_star=None, b_star=None,
         lambda_min=lambda_min,
         lambda_max=max(prof1.max_slope, prof2.max_slope),
     )
-    # interior preimages of c+ = 0; absent exactly when the cusp sits on c+
-    a_star = None
-    if circle_dist(q1, 0.0) > SNAP:
-        a_star = _bisect_lift(model, 1, 1.0, 0.0, L1)
-    b_star = None
-    if circle_dist(q2, 0.0) > SNAP:
-        b_star = _bisect_lift(model, 2, 1.0, c, 1.0)
-    object.__setattr__(model, "a_star", a_star)
-    object.__setattr__(model, "b_star", b_star)
-    return model
 
 
 def eval_signed(model: MapModel, sp: SignedPoint) -> SignedPoint:
@@ -263,30 +281,11 @@ def fixed_points(model: MapModel) -> FixedPoints:
     for name, q in (("q1", model.q1), ("q2", model.q2)):
         if circle_dist(q, 0.0) <= SNAP or circle_dist(q, c) <= SNAP:
             raise OnStratum(f"{name}={q} sits on a homoclinic stratum")
-    p1 = None
+    p1 = p2 = None
     if model.q1 > c:
-        lo, hi = 0.0, c
-        for _ in range(100):
-            if hi - lo <= ROOT_TOL:
-                break
-            mid = 0.5 * (lo + hi)
-            if model.lift(1, mid) - mid - 1.0 < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        p1 = 0.5 * (lo + hi)
-    p2 = None
+        p1 = bisect_increasing(lambda x: model.lift(1, x) - x - 1.0, 0.0, 0.0, c, ROOT_TOL)
     if model.q2 < c:
-        lo, hi = c, 1.0
-        for _ in range(100):
-            if hi - lo <= ROOT_TOL:
-                break
-            mid = 0.5 * (lo + hi)
-            if model.lift(2, mid) - mid < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        p2 = 0.5 * (lo + hi)
+        p2 = bisect_increasing(lambda x: model.lift(2, x) - x, 0.0, c, 1.0, ROOT_TOL)
     return FixedPoints(p1, p2)
 
 

@@ -17,19 +17,19 @@ from __future__ import annotations
 
 import bisect
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .circle import Arc, circle_dist, norm1
-from .errors import EmptyCylinder, EmptyWord, KneadingMismatch
+from .errors import EmptyCylinder, EmptyWord, KneadingMismatch, KneadingRecursionViolated
 from .maps import (
     MINUS,
     PLUS,
     SNAP,
     BranchProfile,
     MapModel,
-    ModelParams,
     SignedPoint,
     _bisect_lift,
+    bisect_increasing,
     build_model,
     eval_signed,
 )
@@ -75,9 +75,6 @@ class Word:
         while len(letters) < depth:
             letters.extend(block)
         return Word(tuple(letters[:depth]))
-
-    def truncated(self, depth: int) -> "Word":
-        return Word(self.letters[:depth])
 
 
 LESS, EQUAL, GREATER = -1, 0, 1
@@ -197,7 +194,7 @@ def kneading_data(model: MapModel, depth: int) -> KneadingData:
     rec = _recursion_forms(model, depth)
     for (name, w), (_, r) in zip(kd.words(), rec.words()):
         if w.letters != r.letters:
-            raise RuntimeError(f"kneading recursion violated for {name}: {w} vs {r}")
+            raise KneadingRecursionViolated(name, w, r)
     return kd
 
 
@@ -326,8 +323,6 @@ class ConjugacyResult:
 
 def _interp_h(pairs, x):
     """Piecewise-linear circle interpolation through monotone pairs."""
-    import bisect
-
     xs = [p[0] for p in pairs]
     i = bisect.bisect_right(xs, x) - 1
     x0, y0 = pairs[i]
@@ -366,7 +361,6 @@ def build_conjugacy(mx: MapModel, my: MapModel, depth: int, grid: int) -> Conjug
         pairs.append((x, H(x)))
     pairs.sort()
 
-    lifted = []
     prev = None
     winding = 0.0
     monotone = True
@@ -404,7 +398,7 @@ def build_conjugacy(mx: MapModel, my: MapModel, depth: int, grid: int) -> Conjug
 
 
 def shoot_matched_model(mx: MapModel, theta1_new: float, match_depth: int,
-                        window: float = 0.03, scan: int = 3000) -> MapModel:
+                        window: float = 0.03) -> MapModel:
     """Find (alpha', beta') so the theta1-modified model matches mx's kneading.
 
     The default model has the cusp orbit of q1 landing exactly on c- after one
@@ -412,9 +406,10 @@ def shoot_matched_model(mx: MapModel, theta1_new: float, match_depth: int,
     exact landing, which pins beta' = (c- - g2(alpha' - c-)) mod 1 and leaves a
     one-parameter search: slide alpha' until the itinerary of the second cusp
     beta' reproduces mx's itinerary of q2 to the matching depth.  The itinerary
-    is lexicographically monotone in the cusp position, so a scan plus
-    bisection converges to the cylinder; the final parameter is refined to the
-    cylinder midpoint.
+    is lexicographically monotone in the cusp position, so bisection between
+    the window ends converges to the cylinder; the final parameter is refined
+    to the cylinder midpoint.  Raises KneadingMismatch when the window ends do
+    not bracket the target itinerary.
     """
     target = itinerary(mx, SignedPoint(mx.q2, PLUS), match_depth)
     prof2 = BranchProfile(1.0 - mx.c_minus, mx.params.theta2)
@@ -425,20 +420,11 @@ def shoot_matched_model(mx: MapModel, theta1_new: float, match_depth: int,
 
     def alpha_for(beta: float) -> float:
         want = norm1(mx.c_minus - beta)
-        lo, hi = 0.0, prof2.length
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            if prof2.g(mid) < want:
-                lo = mid
-            else:
-                hi = mid
-        return mx.c_minus + 0.5 * (lo + hi)
+        return mx.c_minus + bisect_increasing(prof2.g, want, 0.0, prof2.length)
 
     def make(alpha: float) -> MapModel:
-        return build_model(ModelParams(
-            alpha=alpha, beta=beta_for(alpha), c_minus=mx.params.c_minus,
-            theta1=theta1_new, theta2=mx.params.theta2,
-            lambda_min_required=mx.params.lambda_min_required))
+        return build_model(replace(
+            mx.params, alpha=alpha, beta=beta_for(alpha), theta1=theta1_new))
 
     def cmp_at(alpha: float) -> int:
         m = make(alpha)
@@ -447,30 +433,10 @@ def shoot_matched_model(mx: MapModel, theta1_new: float, match_depth: int,
 
     lo = mx.params.alpha - window
     hi = mx.params.alpha + window
-    alphas = [lo + (hi - lo) * i / scan for i in range(scan + 1)]
-    signs = [cmp_at(a) for a in alphas]
-    bracket = None
-    for a, sa, b, sb in zip(alphas, signs, alphas[1:], signs[1:]):
-        if sa == 0:
-            bracket = (a, a)
-            break
-        if sa > 0 >= sb:
-            bracket = (a, b)
-            break
-    if bracket is None:
+    # the itinerary decreases in alpha: at or above the target at lo, at or below at hi
+    if cmp_at(lo) < 0 or cmp_at(hi) > 0:
         raise KneadingMismatch("shooting", -1)
-    a, b = bracket
-    for _ in range(80):
-        mid = 0.5 * (a + b)
-        s = cmp_at(mid)
-        if s == 0:
-            a = b = mid
-            break
-        if s > 0:
-            a = mid
-        else:
-            b = mid
-    alpha = 0.5 * (a + b)
+    alpha = bisect_increasing(lambda a: -cmp_at(a), 0, lo, hi)
     model = make(alpha)
     # refine to the cylinder midpoint of the target word in the found model
     for _ in range(8):

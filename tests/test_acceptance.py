@@ -146,7 +146,7 @@ def test_c06_transitivity_coverage():
 
 def test_c07_up_lorenz_decomposition():
     model = M(0.707, 0.30)
-    trap = trapping_interval(model, samples=10_000)
+    trap = trapping_interval(model)
     assert trap.invariance_margin > 0.0
     horse = horseshoe_certificate(model, Arc(trap.l1, trap.l2))
     assert horse.crossing_margins[0] > 0.0

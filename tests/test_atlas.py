@@ -3,17 +3,17 @@ import pytest
 
 from lorenzlab import atlas
 from lorenzlab.atlas import (
+    _clearance,
     STRATUM_DYNAMICS,
     attractor_span,
     classify,
     golden_bound,
     horseshoe_certificate,
     iterate_segments,
-    sigma_components,
     trapping_interval,
 )
 from lorenzlab.circle import Arc, arc_contains, circle_dist
-from lorenzlab.errors import LambdaBelowPhi, NoFixedPoints, NoTrappingInterval, PreconditionError
+from lorenzlab.errors import LambdaBelowPhi, NoTrappingInterval, PreconditionError
 from lorenzlab.maps import PHI, ModelParams, build_model
 
 
@@ -77,13 +77,14 @@ def test_verdict_table_consistency():
 
 
 def test_sigma_components():
-    sc = sigma_components(M0)
-    assert sc.sigma_plus.start == pytest.approx(0.7, abs=1e-9)
-    assert sc.sigma_plus.end == pytest.approx(0.42013510, abs=1e-6)
-    assert arc_contains(sc.sigma_plus, 0.0) or sc.sigma_plus.start == 0.0
-    assert arc_contains(sc.sigma_minus, 0.5)
-    with pytest.raises(NoFixedPoints):
-        sigma_components(M(0.3, 0.7))
+    v = classify(M0)
+    assert v.sigma_plus.start == pytest.approx(0.7, abs=1e-9)
+    assert v.sigma_plus.end == pytest.approx(0.42013510, abs=1e-6)
+    assert arc_contains(v.sigma_plus, 0.0) or v.sigma_plus.start == 0.0
+    assert arc_contains(v.sigma_minus, 0.5)
+    # without both fixed points there are no sigma components
+    v = classify(M(0.3, 0.7))
+    assert v.sigma_plus is None and v.sigma_minus is None
 
 
 def test_theorem_f_quadrants():
@@ -153,6 +154,13 @@ def test_engine_straddle_split():
     assert arcs[1][1] == pytest.approx(0.6, abs=1e-12)
 
 
+def test_engine_keeps_full_turn_image():
+    # at H12+ the whole first branch maps onto the circle minus the cusp 0
+    cert = iterate_segments(M(0.0, 0.0), Arc(0.0, 0.5), maxN=1, eps=1e-9)
+    assert cert.covered_fraction == 1.0
+    assert [a.length for a in cert.terminal_arcs] == [1.0]
+
+
 def test_engine_coverage_example():
     cert = iterate_segments(M(0.25, 0.75), Arc(0.2, 0.201), maxN=60, eps=1e-3)
     assert cert.covered_fraction >= 1 - 1e-3
@@ -180,6 +188,37 @@ def test_trapping_down_lorenz():
     cert = trapping_interval(M(0.79, 0.20))
     assert cert.invariance_margin > 0
     assert arc_contains(cert.R_L, 0.5)
+
+
+def _sampled_clearance(model, region, samples=10_000):
+    """Reference clearance: f sampled on the region, discontinuities skipped."""
+    xs = np.mod(region.start + np.linspace(0.0, region.length, samples), 1.0)
+    keep = (np.minimum(np.abs(xs), np.abs(xs - 1.0)) > 1e-12)
+    keep &= np.abs(xs - model.c_minus) > 1e-12
+    da = np.mod(model.f_np(xs[keep]) - region.start, 1.0)
+    assert np.all((da > 0) & (da < region.length))
+    return float(np.minimum(da, region.length - da).min())
+
+
+def _random_lorenz_models(dynamics, count, seed):
+    rng = np.random.default_rng(seed)
+    models = []
+    while len(models) < count:
+        m = M(rng.uniform(0.68, 0.82), rng.uniform(0.18, 0.32),
+              theta1=rng.uniform(0.0, 0.19))
+        if classify(m).dynamics == dynamics:
+            models.append(m)
+    return models
+
+
+@pytest.mark.parametrize("dynamics", [atlas.UP_LORENZ, atlas.DOWN_LORENZ])
+def test_exact_clearance_matches_sampling(dynamics):
+    for m in _random_lorenz_models(dynamics, 25, seed=31):
+        cert = trapping_interval(m)
+        sampled = _sampled_clearance(m, cert.R_L)
+        assert cert.invariance_margin == _clearance(m, cert.R_L)
+        assert cert.invariance_margin <= sampled
+        assert sampled - cert.invariance_margin <= 1e-9
 
 
 def test_trapping_rejects_tilde():

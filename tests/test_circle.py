@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lorenzlab.circle import Arc, ArcUnion, arc_contains, dist_ccw, norm1, split_arc_at
+from lorenzlab.circle import Arc, ArcUnion, arc_contains, dist_ccw, norm1
 
 
 def test_dist_ccw_basic():
@@ -27,41 +27,6 @@ def test_arc_contains():
     assert arc_contains(Arc.full_circle(), 0.123)
 
 
-def test_split_examples():
-    parts = split_arc_at(Arc(0.0, 0.6), [0.5])
-    assert [(p.start, p.end) for p in parts] == [(0.0, 0.5), (0.5, 0.6)]
-    parts = split_arc_at(Arc(0.9, 0.2), [0.0])
-    assert [(p.start, p.end) for p in parts] == [(0.9, 0.0), (0.0, 0.2)]
-    parts = split_arc_at(Arc.full_circle(), [0.0, 0.5])
-    assert [(p.start, p.end) for p in parts] == [(0.0, 0.5), (0.5, 0.0)]
-
-
-def test_split_conserves_length():
-    rng = np.random.default_rng(7)
-    for _ in range(10_000):
-        s, e = rng.uniform(0, 1, 2)
-        arc = Arc(s, e)
-        cuts = rng.uniform(0, 1, rng.integers(0, 4))
-        parts = split_arc_at(arc, list(cuts))
-        assert sum(p.length for p in parts) == pytest.approx(arc.length, abs=1e-12)
-
-
-def test_split_membership_consistent():
-    rng = np.random.default_rng(11)
-    for _ in range(2000):
-        s, e = rng.uniform(0, 1, 2)
-        arc = Arc(s, e)
-        cuts = list(rng.uniform(0, 1, 3))
-        parts = split_arc_at(arc, cuts)
-        p = rng.uniform(0, 1)
-        if not arc_contains(arc, p):
-            continue
-        hits = sum(arc_contains(q, p) for q in parts)
-        on_cut = any(abs(dist_ccw(c, p)) < 1e-12 or abs(dist_ccw(p, c)) < 1e-12
-                     for c in cuts)
-        assert hits == 1 or on_cut
-
-
 def test_arc_union_gaps():
     u = ArcUnion()
     u.add(Arc(0.1, 0.4))
@@ -80,7 +45,7 @@ def test_arc_union_wrap_merge():
     u = ArcUnion()
     u.add(Arc(0.9, 0.1))
     assert u.total_length == pytest.approx(0.2, abs=1e-12)
-    g = u.largest_gap()
+    (g,) = u.gaps()
     assert g.start == pytest.approx(0.1)
     assert g.end == pytest.approx(0.9)
 

@@ -3,7 +3,13 @@ import json
 import pytest
 
 from lorenzlab import atlas, cli
-from lorenzlab.errors import MissingPaletteEntry, ParseError, ValidationError
+from lorenzlab.errors import (
+    MissingPaletteEntry,
+    NotMarkov,
+    ParseError,
+    TrackingLost,
+    ValidationError,
+)
 
 
 def load(doc=None, **sections):
@@ -161,11 +167,49 @@ def test_main_exit_codes(tmp_path):
     invalid.write_text(json.dumps({"model": {"theta1": 0.5}}))
     assert cli.main(["classify", "--config", str(invalid), "--out", str(tmp_path)]) == 2
 
-    # realize on an unrealizable word propagates as an internal error;
     # a precondition failure (skew cone bound) exits 3
     cone = tmp_path / "cone.json"
     cone.write_text(json.dumps({"skew": {"kappa": 0.24}}))
     assert cli.main(["attractor2d", "--config", str(cone), "--out", str(tmp_path)]) == 3
+
+
+BAD_INPUTS = [
+    # (command, config text, exit code)
+    ("realize", '{"word": {"letters": "A0 A0"}}', 3),          # EmptyCylinder
+    ("kneading", '{"model": {"alpha": 2e-9}}', 3),             # recursion check
+    ("classify", '{"model": {"alpha": NaN}}', 2),
+    ("classify", '{"model": {"alpha": Infinity}}', 2),
+    ("classify", '{"model": {"alpha": true}}', 2),
+    ("classify", '{"model": {"theta1": "0.1"}}', 2),
+    ("sweep", '{"sweep": {"workers": true}}', 2),
+    ("path", '{"path": {"start": [NaN, 0.22]}}', 2),
+    ("classify", None, 2),                                     # missing file
+    ("classify", b"\xff\xfe{}", 2),                           # not UTF-8
+]
+
+
+@pytest.mark.parametrize("command,text,code", BAD_INPUTS)
+def test_main_bad_input_exits_cleanly(command, text, code, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    if isinstance(text, bytes):
+        cfg.write_bytes(text)
+    elif text is not None:
+        cfg.write_text(text)
+    assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path)]) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("exc", [NotMarkov("strip not crossed"),
+                                 TrackingLost("cusp 1 jumped 0.300")])
+def test_main_certificate_failures_exit_3(exc, tmp_path, capsys, monkeypatch):
+    # neither error is reachable from a config today; main still maps them
+    def fail(config, out):
+        raise exc
+
+    monkeypatch.setitem(cli.COMMANDS, "classify", fail)
+    assert cli.main(["classify", "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err.count("\n") == 1
 
 
 def test_main_writes_reports(tmp_path):

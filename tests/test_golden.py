@@ -35,8 +35,8 @@ GOLDEN = {
         "classify.json": "1878eb6f6a609847df7d92e8872ce17afc321eb6bfd63c909684eadffe22aab9",
     },
     "default/conjugacy": {
-        "conjugacy.json": "6b8d22cf58463047c7c8d87a590ae5b0f5a7e05028e9711515c69ef3dc89eb42",
-        "conjugacy_pairs.csv": "f9cc68fd56e02132089b4981dc052be05a567e32ba6c052bd5335c2b93a1b789",
+        "conjugacy.json": "e52d3282c604e18a73a093f53736a53e1d37574e465b4b5e60ce898fead39ae7",
+        "conjugacy_pairs.csv": "152a927ca84b2ca2a9bffbeec46366d114c9599076a49a177e36b948f9fe4cf9",
     },
     "default/degree": {
         "degree.json": "69c9832e277a7b9e7b5c2803eecf7dceb08b975f4bab6bdc9a51724baf34da2c",
@@ -51,7 +51,7 @@ GOLDEN = {
         "kneading.json": "d8bb449e3e2ab70f7aa31a1e5a788cd59d131c763224b8a241ede28ee2fc16d3",
     },
     "default/path": {
-        "path.csv": "3853579d1d6fdf06d58a16edf44ce87fa03083b8866670163f31caf77bc78e10",
+        "path.csv": "83feb9a3440af87c6018f9a25786b10d2dfa89d5ab79e9299b4531bbcf8c9f6a",
         "path_report.json": "7aabadee74997cefd967b483347ae2853fd71f1253ff8c0b0d8a498b9733b564",
     },
     "default/realize": {
@@ -76,8 +76,8 @@ GOLDEN = {
         "classify.json": "4a45e3b7e9abb6c5b4d8e104f910c360dbc08aac4c55dc6dc1f419050ee4d340",
     },
     "collision/conjugacy": {
-        "conjugacy.json": "f50e3f87ef250c3f88c7f748ec9ce8fe2937a88acbe61d2502475baab7904fd0",
-        "conjugacy_pairs.csv": "493d4b5648a1eb87b8ddf561d943bbb5eeba2e1f05f032fee84fc90f87a7b327",
+        "conjugacy.json": "fa9ed04589bcabe45f81a85571b396111e1ae8c507814a9ecc234a7fd978aeae",
+        "conjugacy_pairs.csv": "d0c095e93ad1d5b2e6343370197efaccbd5c765552f65afe1c100629066e6e84",
     },
     "collision/degree": {
         "degree.json": "11d91e230303f60744faca4d32aadde1a98e9f78019d355f616b00f19b6e8fdd",
@@ -92,7 +92,7 @@ GOLDEN = {
         "kneading.json": "1c4b5b492cda8d9055b3c852d262aabf4c5570f10aba9af7b45c5c28eb3d81b0",
     },
     "collision/path": {
-        "path.csv": "99b06a878e5dd912d2bd5128a8b4d79b89fea9c71363a7d6d11e09477e9bda1f",
+        "path.csv": "3a888ce3d955bca12ee53e3918e3544cd36033a9686b60602a5fe22632c9ede4",
         "path_report.json": "227d8bf116db8e1084f46a4f1eca2ff4713e282df84e52dd1d5b21a868fcf376",
     },
     "collision/realize": {

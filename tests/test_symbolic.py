@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from lorenzlab.circle import circle_dist
 from lorenzlab.errors import EmptyCylinder, KneadingMismatch
-from lorenzlab.maps import MINUS, PLUS, ModelParams, SignedPoint, build_model
+from lorenzlab.maps import MINUS, PLUS, BranchProfile, ModelParams, SignedPoint, build_model
 from lorenzlab.symbolic import (
     EQUAL,
     GREATER,
@@ -17,6 +19,7 @@ from lorenzlab.symbolic import (
     lex_compare,
     realize,
     shift,
+    shoot_matched_model,
     star,
 )
 
@@ -182,3 +185,66 @@ def test_conjugacy_kneading_guard():
     other = M(0.61, 0.3)
     with pytest.raises(KneadingMismatch):
         build_conjugacy(M0, other, depth=20, grid=16)
+
+
+def _shoot_with_scan(mx, theta1_new, match_depth, window=0.03, scan=3000):
+    """Reference shooting: a 3,001-point sign scan, then 80 halvings."""
+    target = itinerary(mx, SignedPoint(mx.q2, PLUS), match_depth)
+    prof2 = BranchProfile(1.0 - mx.c_minus, mx.params.theta2)
+
+    def make(alpha):
+        beta = (mx.c_minus - prof2.g(alpha - mx.c_minus)) % 1.0
+        return build_model(replace(mx.params, alpha=alpha, beta=beta, theta1=theta1_new))
+
+    def alpha_for(beta):
+        want = (mx.c_minus - beta) % 1.0
+        lo, hi = 0.0, prof2.length
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            if prof2.g(mid) < want:
+                lo = mid
+            else:
+                hi = mid
+        return mx.c_minus + 0.5 * (lo + hi)
+
+    def cmp_at(alpha):
+        m = make(alpha)
+        return lex_compare(itinerary(m, SignedPoint(m.q2, PLUS), match_depth), target)[0]
+
+    lo, hi = mx.params.alpha - window, mx.params.alpha + window
+    alphas = [lo + (hi - lo) * i / scan for i in range(scan + 1)]
+    signs = [cmp_at(a) for a in alphas]
+    a, b = next((a, a if sa == 0 else b)
+                for a, sa, b, sb in zip(alphas, signs, alphas[1:], signs[1:])
+                if sa == 0 or sa > 0 >= sb)
+    for _ in range(80):
+        mid = 0.5 * (a + b)
+        s = cmp_at(mid)
+        if s == 0:
+            a = b = mid
+            break
+        if s > 0:
+            a = mid
+        else:
+            b = mid
+    model = make(0.5 * (a + b))
+    for _ in range(8):
+        beta_new = realize(model, target).interval.midpoint()
+        model = make(alpha_for(beta_new))
+        if circle_dist(model.q2, beta_new) < 1e-13:
+            break
+    return model
+
+
+@pytest.mark.parametrize("theta1_new", [0.10, 0.19])
+def test_shooting_matches_scan_reference(theta1_new):
+    shot = shoot_matched_model(M0, theta1_new, 30)
+    ref = _shoot_with_scan(M0, theta1_new, 30)
+    assert abs(shot.params.alpha - ref.params.alpha) <= 1e-9
+    assert shot.params.theta1 == theta1_new
+
+
+def test_shooting_rejects_unbracketed_window():
+    # a window too narrow to reach the matching cylinder
+    with pytest.raises(KneadingMismatch):
+        shoot_matched_model(M0, 0.19, 30, window=1e-6)
