@@ -20,9 +20,19 @@ CONFIGS = {
         "model": {"theta1": 0.19},
         "path": {"start": [0.77, 0.22], "end": [0.79, 0.22], "steps": 21},
     },
+    # the README atlas window at 128^2: unlike the default [0,1]^2 sweep it
+    # reaches the HE1 cells and both L+/- wedges; pinned for ``sweep`` only
+    "atlas": {
+        "sweep": {"grid_nx": 128, "grid_ny": 128,
+                  "alpha_range": [0.68, 0.82], "beta_range": [0.18, 0.32]},
+    },
 }
 
 GOLDEN = {
+    "atlas/sweep": {
+        "sweep.csv": "d4a9c7c925b7168217fc80dae670b24a13fcafc54b419c5e0e5fee63fa7b104c",
+        "sweep.ppm": "de5540cfc1d1cc04be9609042da31255029a2232f05c0fead2378e16d82da9cf",
+    },
     "default/admissible": {
         "admissible.json": "10664700685a2170403f84138130b24d116524bdc400cfa0a2b029b5e0d9fe3a",
     },
