@@ -11,9 +11,21 @@ attractor leaf spans.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from .circle import Arc, ArcUnion, arc_contains, circle_dist, dist_ccw, norm1
+import numpy as np
+
+from .circle import (
+    TOL,
+    Arc,
+    ArcUnion,
+    arc_contains,
+    circle_dist,
+    circle_dist_np,
+    dist_ccw,
+    dist_ccw_np,
+    norm1,
+)
 from .errors import (
     ArcBudgetExceeded,
     LambdaBelowPhi,
@@ -21,7 +33,16 @@ from .errors import (
     NoTrappingInterval,
     PreconditionError,
 )
-from .maps import PHI, SNAP, MapModel, fixed_points, inverse_branch
+from .maps import (
+    PHI,
+    SNAP,
+    MapModel,
+    ModelParams,
+    branch_fixed_point,
+    build_model,
+    fixed_points,
+    inverse_branch,
+)
 
 # stratum labels
 O_MM = "O--"
@@ -132,6 +153,61 @@ def classify(model: MapModel, tol: float = SNAP) -> RegionVerdict:
             stratum = O_PP_TILDE
     return RegionVerdict(stratum, margin, STRATUM_DYNAMICS[stratum],
                          p1=fp.p1, p2=fp.p2, sigma_plus=sp, sigma_minus=sm)
+
+
+def classify_grid(params: ModelParams, alphas, betas, tol: float = SNAP):
+    """Strata and margins of ``classify`` over the grid alphas x betas.
+
+    Returns (stratum, margin), two ny x nx arrays: row j, column i is the
+    model at (alphas[i], betas[j]); stratum holds indices into STRATA and
+    margin is float64.  Both equal ``classify`` on every cell, bit for bit,
+    whenever tol >= SNAP.  With a smaller tol, ``classify`` raises OnStratum
+    for a cusp within SNAP of a discontinuity; this grid classifies that cell.
+    p1 reads only alpha and p2 only beta, so the grid takes nx + ny
+    fixed-point solves; the rest of ``classify`` runs elementwise.
+    """
+    c = params.c_minus
+    cols = [build_model(replace(params, alpha=a)) for a in alphas]
+    rows = [build_model(replace(params, beta=b)) for b in betas]
+    # a missing fixed point (None) becomes NaN; only ++ cells read p1, p2
+    q1 = np.array([m.q1 for m in cols])
+    p1 = np.array([branch_fixed_point(m, 1) for m in cols], dtype=float)
+    q2 = np.array([m.q2 for m in rows])[:, None]
+    p2 = np.array([branch_fixed_point(m, 2) for m in rows], dtype=float)[:, None]
+
+    d1p, d1m = circle_dist_np(q1, 0.0), circle_dist_np(q1, c)
+    d2p, d2m = circle_dist_np(q2, 0.0), circle_dist_np(q2, c)
+    h1p, h1m, h2p, h2m = d1p <= tol, d1m <= tol, d2p <= tol, d2m <= tol
+    plus1, plus2 = q1 > c, q2 < c
+    he1_d = circle_dist_np(q1, p2)
+    he2_d = circle_dist_np(q2, p1)
+    he1, he2 = he1_d <= tol, he2_d <= tol
+    # cusp q in the open arc sigma+ = (p2, p1), as arc_contains decides it
+    sp_len = dist_ccw_np(p2, p1)
+    d = dist_ccw_np(p2, q1)
+    in1 = (TOL < d) & (d < sp_len - TOL)
+    d = dist_ccw_np(p2, q2)
+    in2 = (TOL < d) & (d < sp_len - TOL)
+    symmetric = params.theta1 == params.theta2 and abs(c - 0.5) <= tol
+
+    # the branches of ``classify``, in its order: first match wins
+    cases = [
+        (h1p & h2p, H12P), (h1m & h2m, H12M), (h1p, H1P), (h1m, H1M),
+        (h2p, H2P), (h2m, H2M),
+        (~plus1 & ~plus2, O_MM), (plus1 & ~plus2, O_PM), (~plus1 & plus2, O_MP),
+        (he1 & he2, DEGENERATE if symmetric else HE1_AND_HE2),
+        (he1, HE1), (he2, HE2),
+        (in1 & in2, O_PP_LPLUS), (~in1 & ~in2, O_PP_LMINUS),
+    ]
+    stratum = np.select([cond for cond, _ in cases],
+                        [STRATA.index(label) for _, label in cases],
+                        STRATA.index(O_PP_TILDE))
+
+    h_margin = np.minimum(np.minimum(d1p, d1m), np.minimum(d2p, d2m))
+    pp_margin = np.minimum(h_margin, np.minimum(he1_d, he2_d))
+    on_h = h1p | h1m | h2p | h2m
+    margin = np.where(plus1 & plus2 & ~on_h, pp_margin, h_margin)
+    return stratum, margin
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,8 @@ reproducible from its outputs alone.  All CSV output is UTF-8 with LF line
 endings and a header row; rasters are binary PPM (P6) for stratum maps and
 binary PGM (P5) for attractor clouds.
 
-Exit codes: 0 success, 2 config error, 3 precondition error, 4 budget
-exceeded.
+Exit codes: 0 success, 2 config error (including an output directory that
+cannot be created or written), 3 precondition error, 4 budget exceeded.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import copy
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -31,7 +30,7 @@ from .annulus import (
     leaf_span_2d,
     verify_cones,
 )
-from .atlas import attractor_span, classify, trapping_interval
+from .atlas import attractor_span, classify, classify_grid, trapping_interval
 from .circle import Arc
 from .errors import (
     BudgetError,
@@ -303,20 +302,12 @@ def _arc_json(arc: Arc | None):
 # drivers
 
 
-def _sweep_cell(args):
-    params, alpha, beta = args
-    model = build_model(replace(params, alpha=alpha, beta=beta))
-    v = classify(model)
-    return [alpha, beta, v.stratum, v.dynamics, v.margin, model.lambda_min]
-
-
 def run_sweep(config: Config):
     """Classify every grid cell; returns (rows, csv bytes, ppm bytes).
 
     Rows are emitted in row-major order over (beta, alpha); the raster top row
-    carries the maximal beta.  Cells are independent: with workers > 1 they
-    are fanned out over a process pool and gathered into a pre-sized buffer,
-    so the output is identical for any worker count.
+    carries the maximal beta.  The grid is classified in one process by
+    ``classify_grid``; ``sweep.workers`` is accepted and ignored.
     """
     sw = config["sweep"]
     params = config.model_params()
@@ -325,15 +316,14 @@ def run_sweep(config: Config):
     b_lo, b_hi = sw["beta_range"]
     alphas = [a_lo + (a_hi - a_lo) * i / (nx - 1) for i in range(nx)]
     betas = [b_lo + (b_hi - b_lo) * j / (ny - 1) for j in range(ny)]
-    cells = [(params, a, b) for b in betas for a in alphas]
-    if sw["workers"] > 1:
-        with ProcessPoolExecutor(max_workers=sw["workers"]) as pool:
-            rows = list(pool.map(_sweep_cell, cells, chunksize=max(1, len(cells) // (8 * sw["workers"]))))
-    else:
-        rows = [_sweep_cell(c) for c in cells]
+    lambda_min = build_model(params).lambda_min
+    strata, margins = classify_grid(params, alphas, betas)
+    labels = [[atlas.STRATA[k] for k in row] for row in strata.tolist()]
+    rows = [[a, b, label, atlas.STRATUM_DYNAMICS[label], m, lambda_min]
+            for b, label_row, margin_row in zip(betas, labels, margins.tolist())
+            for a, label, m in zip(alphas, label_row, margin_row)]
     csv_bytes = _csv(["alpha", "beta", "stratum", "dynamics", "margin", "lambda_min"], rows)
-    grid = [[rows[j * nx + i][2] for i in range(nx)] for j in range(ny - 1, -1, -1)]
-    ppm = render_raster(grid, PALETTE)
+    ppm = render_raster(labels[::-1], PALETTE)
     return rows, csv_bytes, ppm
 
 
@@ -601,6 +591,11 @@ def main(argv=None) -> int:
         COMMANDS[args.command](config, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # config is read into memory first, so this is the output directory
+        print(f"config error: cannot write outputs to {args.out}: {exc}",
+              file=sys.stderr)
         return 2
     except PreconditionError as exc:
         print(f"precondition error: {exc}", file=sys.stderr)

@@ -103,7 +103,7 @@ class MapModel:
     a_star / b_star are the unique interior solutions of f = 0 on each branch
     (None when the cusp sits on c+, in which case the corresponding itinerary
     region degenerates); they are solved on first access, since only the
-    symbolic layer reads them.  Immutable; safe to share across sweep workers.
+    symbolic layer reads them.  Immutable.
     """
 
     params: ModelParams
@@ -270,23 +270,30 @@ class FixedPoints:
     p2: float | None
 
 
-def fixed_points(model: MapModel) -> FixedPoints:
-    """Branch fixed points; p_i exists iff the cusp q_i lies in the other arc.
+def branch_fixed_point(model: MapModel, branch: int) -> float | None:
+    """Fixed point of one branch; it exists iff the cusp q_i lies in the other arc.
 
-    Equivalent formulation on the lifted branches: the equation
-    lift_1(x) = x + 1 brackets a root on [0, c-] iff alpha > c-, and
-    lift_2(x) = x brackets one on [c-, 1] iff beta < c-.
+    On the lifted branches: lift_1(x) = x + 1 brackets a root on [0, c-] iff
+    q1 > c-, and lift_2(x) = x brackets one on [c-, 1] iff q2 < c-.  p1 reads
+    only q1 (alpha) and p2 only q2 (beta).
     """
+    c = model.c_minus
+    if branch == 1:
+        if model.q1 <= c:
+            return None
+        return bisect_increasing(lambda x: model.lift(1, x) - x - 1.0, 0.0, 0.0, c, ROOT_TOL)
+    if model.q2 >= c:
+        return None
+    return bisect_increasing(lambda x: model.lift(2, x) - x, 0.0, c, 1.0, ROOT_TOL)
+
+
+def fixed_points(model: MapModel) -> FixedPoints:
+    """Both branch fixed points; refuses a cusp on a homoclinic stratum."""
     c = model.c_minus
     for name, q in (("q1", model.q1), ("q2", model.q2)):
         if circle_dist(q, 0.0) <= SNAP or circle_dist(q, c) <= SNAP:
             raise OnStratum(f"{name}={q} sits on a homoclinic stratum")
-    p1 = p2 = None
-    if model.q1 > c:
-        p1 = bisect_increasing(lambda x: model.lift(1, x) - x - 1.0, 0.0, 0.0, c, ROOT_TOL)
-    if model.q2 < c:
-        p2 = bisect_increasing(lambda x: model.lift(2, x) - x, 0.0, c, 1.0, ROOT_TOL)
-    return FixedPoints(p1, p2)
+    return FixedPoints(branch_fixed_point(model, 1), branch_fixed_point(model, 2))
 
 
 @dataclass

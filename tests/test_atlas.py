@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from lorenzlab import atlas
 from lorenzlab.atlas import (
@@ -7,14 +10,20 @@ from lorenzlab.atlas import (
     STRATUM_DYNAMICS,
     attractor_span,
     classify,
+    classify_grid,
     golden_bound,
     horseshoe_certificate,
     iterate_segments,
     trapping_interval,
 )
 from lorenzlab.circle import Arc, arc_contains, circle_dist
-from lorenzlab.errors import LambdaBelowPhi, NoTrappingInterval, PreconditionError
-from lorenzlab.maps import PHI, ModelParams, build_model
+from lorenzlab.errors import (
+    ExpansionTooWeak,
+    LambdaBelowPhi,
+    NoTrappingInterval,
+    PreconditionError,
+)
+from lorenzlab.maps import PHI, ModelParams, branch_fixed_point, build_model
 
 
 def M(alpha, beta, **kw):
@@ -59,6 +68,74 @@ def test_classify_he1():
 def test_classify_degenerate_symmetric():
     v = classify(M(0.6, 0.4, theta1=0.0, theta2=0.0))
     assert v.stratum == atlas.DEGENERATE
+
+
+# --- grid classification ---------------------------------------------------
+
+def _grid_matches_classify(params, alphas, betas):
+    """Assert classify_grid equals scalar classify on every cell, bit for bit;
+    return the set of strata seen."""
+    strata, margins = classify_grid(params, alphas, betas)
+    assert strata.shape == margins.shape == (len(betas), len(alphas))
+    assert margins.dtype == np.float64
+    for j, b in enumerate(betas):
+        for i, a in enumerate(alphas):
+            v = classify(build_model(replace(params, alpha=a, beta=b)))
+            got = (atlas.STRATA[strata[j, i]], float(margins[j, i]).hex())
+            assert got == (v.stratum, v.margin.hex()), (a, b)
+    return {atlas.STRATA[k] for k in strata.ravel()}
+
+
+def _sweep_axis(lo, hi, n):
+    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(c_minus=st.floats(0.38, 0.62), theta1=st.floats(0.0, 0.19),
+       theta2=st.floats(0.0, 0.19),
+       a_range=st.tuples(st.floats(-2.0, 3.0), st.floats(-2.0, 3.0)),
+       b_range=st.tuples(st.floats(-2.0, 3.0), st.floats(-2.0, 3.0)),
+       nx=st.integers(2, 9), ny=st.integers(2, 9))
+def test_classify_grid_matches_classify(c_minus, theta1, theta2, a_range,
+                                        b_range, nx, ny):
+    params = ModelParams(alpha=0.6, beta=0.3, c_minus=c_minus,
+                         theta1=theta1, theta2=theta2)
+    try:
+        build_model(params)
+    except ExpansionTooWeak:
+        assume(False)
+    _grid_matches_classify(params, _sweep_axis(*a_range, nx),
+                           _sweep_axis(*b_range, ny))
+
+
+@pytest.mark.parametrize("c", [0.5, 0.45])
+def test_classify_grid_on_homoclinic_loci(c):
+    # cusps on, and within or just outside SNAP of, the discontinuities 0, c-
+    values = [0.0, 5e-10, -5e-10, 2e-9, 1.0, c, c + 5e-10, c - 5e-10,
+              c + 2e-9, 1.0 + c, -c, 0.3 * c, c + 0.3 * (1 - c)]
+    seen = _grid_matches_classify(ModelParams(0.6, 0.3, c_minus=c),
+                                  values, values)
+    assert {atlas.H12P, atlas.H12M, atlas.H1P, atlas.H1M,
+            atlas.H2P, atlas.H2M} <= seen
+
+
+def test_classify_grid_on_heteroclinic_loci():
+    # beta set to a column's p1 puts that column's cell on HE2, alpha set to
+    # a row's p2 puts that row's cell on HE1; (0.75, 0.25) is on both
+    params = ModelParams(0.6, 0.3)
+    base_alphas = [0.6, 0.7, 0.75, 0.78, 0.9]
+    base_betas = [0.1, 0.22, 0.25, 0.4]
+    p1 = [branch_fixed_point(M(a, 0.3), 1) for a in base_alphas]
+    p2 = [branch_fixed_point(M(0.6, b), 2) for b in base_betas]
+    seen = _grid_matches_classify(params, base_alphas + p2, base_betas + p1)
+    assert {atlas.HE1, atlas.HE2, atlas.HE1_AND_HE2} <= seen
+
+
+def test_classify_grid_degenerate():
+    params = ModelParams(0.6, 0.4, theta1=0.1, theta2=0.1)
+    alphas = _sweep_axis(0.3, 0.9, 13)
+    seen = _grid_matches_classify(params, alphas, [1.0 - a for a in alphas])
+    assert atlas.DEGENERATE in seen
 
 
 def test_verdict_table_consistency():

@@ -185,17 +185,23 @@ BAD_INPUTS = [
     ("path", '{"path": {"start": [NaN, 0.22]}}', 2),
     ("classify", None, 2),                                     # missing file
     ("classify", b"\xff\xfe{}", 2),                           # not UTF-8
+    ("classify --out cfg.json/sub", "{}", 2),                  # --out under a file
 ]
 
 
 @pytest.mark.parametrize("command,text,code", BAD_INPUTS)
-def test_main_bad_input_exits_cleanly(command, text, code, tmp_path, capsys):
+def test_main_bad_input_exits_cleanly(command, text, code, tmp_path, capsys,
+                                     monkeypatch):
+    monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "cfg.json"
     if isinstance(text, bytes):
         cfg.write_bytes(text)
     elif text is not None:
         cfg.write_text(text)
-    assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path)]) == code
+    # extra arguments after the command (a later --out wins) ride in `command`
+    command, *extra = command.split()
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path), *extra]
+    assert cli.main(argv) == code
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
 
