@@ -155,14 +155,12 @@ def classify(model: MapModel, tol: float = SNAP) -> RegionVerdict:
                          p1=fp.p1, p2=fp.p2, sigma_plus=sp, sigma_minus=sm)
 
 
-def classify_grid(params: ModelParams, alphas, betas, tol: float = SNAP):
+def classify_grid(params: ModelParams, alphas, betas):
     """Strata and margins of ``classify`` over the grid alphas x betas.
 
     Returns (stratum, margin), two ny x nx arrays: row j, column i is the
     model at (alphas[i], betas[j]); stratum holds indices into STRATA and
-    margin is float64.  Both equal ``classify`` on every cell, bit for bit,
-    whenever tol >= SNAP.  With a smaller tol, ``classify`` raises OnStratum
-    for a cusp within SNAP of a discontinuity; this grid classifies that cell.
+    margin is float64.  Both equal ``classify`` on every cell, bit for bit.
     p1 reads only alpha and p2 only beta, so the grid takes nx + ny
     fixed-point solves; the rest of ``classify`` runs elementwise.
     """
@@ -177,18 +175,18 @@ def classify_grid(params: ModelParams, alphas, betas, tol: float = SNAP):
 
     d1p, d1m = circle_dist_np(q1, 0.0), circle_dist_np(q1, c)
     d2p, d2m = circle_dist_np(q2, 0.0), circle_dist_np(q2, c)
-    h1p, h1m, h2p, h2m = d1p <= tol, d1m <= tol, d2p <= tol, d2m <= tol
+    h1p, h1m, h2p, h2m = d1p <= SNAP, d1m <= SNAP, d2p <= SNAP, d2m <= SNAP
     plus1, plus2 = q1 > c, q2 < c
     he1_d = circle_dist_np(q1, p2)
     he2_d = circle_dist_np(q2, p1)
-    he1, he2 = he1_d <= tol, he2_d <= tol
+    he1, he2 = he1_d <= SNAP, he2_d <= SNAP
     # cusp q in the open arc sigma+ = (p2, p1), as arc_contains decides it
     sp_len = dist_ccw_np(p2, p1)
     d = dist_ccw_np(p2, q1)
     in1 = (TOL < d) & (d < sp_len - TOL)
     d = dist_ccw_np(p2, q2)
     in2 = (TOL < d) & (d < sp_len - TOL)
-    symmetric = params.theta1 == params.theta2 and abs(c - 0.5) <= tol
+    symmetric = params.theta1 == params.theta2 and abs(c - 0.5) <= SNAP
 
     # the branches of ``classify``, in its order: first match wins
     cases = [
