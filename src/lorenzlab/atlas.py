@@ -88,36 +88,39 @@ class RegionVerdict:
     sigma_minus: Arc | None = None
 
 
-def classify(model: MapModel, tol: float = SNAP) -> RegionVerdict:
+def classify(model: MapModel) -> RegionVerdict:
     """Stratum label, dynamical verdict, and margin to the nearest stratum.
 
-    Homoclinic strata are detected first (cusp within tol of a discontinuity),
-    then the fixed points decide the quadrant; in the doubly-fixed quadrant
-    the heteroclinic loci are checked and the cusps are located relative to
-    the two components cut out by the fixed points.
+    Homoclinic strata are detected first (cusp within SNAP of a
+    discontinuity), then the fixed points decide the quadrant; in the
+    doubly-fixed quadrant the heteroclinic loci (cusp within SNAP of the
+    other branch's fixed point) are checked and the cusps are located
+    relative to the two components cut out by the fixed points.  SNAP is
+    also the distance at which ``fixed_points`` refuses a homoclinic cusp,
+    so that refusal is never reached from here.
     """
     c = model.c_minus
     d1p, d1m = circle_dist(model.q1, 0.0), circle_dist(model.q1, c)
     d2p, d2m = circle_dist(model.q2, 0.0), circle_dist(model.q2, c)
     h_dists = [d1p, d1m, d2p, d2m]
-    on1 = min(d1p, d1m) <= tol
-    on2 = min(d2p, d2m) <= tol
+    on1 = min(d1p, d1m) <= SNAP
+    on2 = min(d2p, d2m) <= SNAP
 
     if on1 or on2:
         margin = min(h_dists)
         if on1 and on2:
-            if d1p <= tol and d2p <= tol:
+            if d1p <= SNAP and d2p <= SNAP:
                 stratum = H12P
-            elif d1m <= tol and d2m <= tol:
+            elif d1m <= SNAP and d2m <= SNAP:
                 stratum = H12M
             else:
                 # mixed double loop: inside H1 off the same-side codim-2 loci,
                 # so the single-loop two-sided verdict applies
-                stratum = H1P if d1p <= tol else H1M
+                stratum = H1P if d1p <= SNAP else H1M
         elif on1:
-            stratum = H1P if d1p <= tol else H1M
+            stratum = H1P if d1p <= SNAP else H1M
         else:
-            stratum = H2P if d2p <= tol else H2M
+            stratum = H2P if d2p <= SNAP else H2M
         return RegionVerdict(stratum, margin, STRATUM_DYNAMICS[stratum])
 
     fp = fixed_points(model)
@@ -134,13 +137,13 @@ def classify(model: MapModel, tol: float = SNAP) -> RegionVerdict:
     margin = min(h_dists + [he1_d, he2_d])
     sp, sm = Arc(fp.p2, fp.p1), Arc(fp.p1, fp.p2)
 
-    if he1_d <= tol and he2_d <= tol:
+    if he1_d <= SNAP and he2_d <= SNAP:
         symmetric = (model.params.theta1 == model.params.theta2
-                     and abs(model.c_minus - 0.5) <= tol)
+                     and abs(model.c_minus - 0.5) <= SNAP)
         stratum = DEGENERATE if symmetric else HE1_AND_HE2
-    elif he1_d <= tol:
+    elif he1_d <= SNAP:
         stratum = HE1
-    elif he2_d <= tol:
+    elif he2_d <= SNAP:
         stratum = HE2
     else:
         q1_plus = arc_contains(sp, model.q1)

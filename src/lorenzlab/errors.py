@@ -78,8 +78,9 @@ class KneadingMismatch(PreconditionError):
 class KneadingRecursionViolated(PreconditionError):
     """A boundary itinerary disagrees with the one-step kneading recursion.
 
-    Seen when a cusp sits just outside SNAP of c+, which puts a zero-preimage
-    within SNAP of c- so that the two region boundaries snap together."""
+    A cusp just outside SNAP of c+ puts a zero-preimage within SNAP of c-;
+    that used to raise this until boundary points snapped to the nearest
+    region cut, and no model is known to raise it since."""
 
     def __init__(self, word, direct, recursive):
         self.word = word

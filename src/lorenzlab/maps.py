@@ -172,7 +172,7 @@ def bisect_increasing(fn, target: float, lo: float, hi: float,
     Halves the bracket until it is at most tol wide or, with tol = 0, until
     its midpoint no longer splits it (float resolution).  A midpoint where fn
     hits target exactly is returned at once.  This is the package's only
-    root finder.
+    scalar root finder; ``bisect_increasing_np`` copies it lane by lane.
     """
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
@@ -196,6 +196,58 @@ def _bisect_lift(model: MapModel, branch: int, target: float,
     if target >= model.lift(branch, hi):
         return hi
     return bisect_increasing(lambda x: model.lift(branch, x), target, lo, hi, ROOT_TOL)
+
+
+def bisect_increasing_np(fn, target, lo, hi, tol: float = 0.0):
+    """Lane-wise ``_bisect_lift``: solve fn(x) = target on [lo, hi] in each lane.
+
+    fn maps an array holding one point per lane to the lanes' values and is
+    increasing in each lane.  A lane whose target is at or below fn(lo)
+    returns lo, one at or above fn(hi) returns hi; every other lane follows
+    ``bisect_increasing``, so each lane equals the scalar result bit for bit
+    when fn does.
+    """
+    target = np.asarray(target, dtype=float)
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    at_lo = target <= fn(lo)
+    done = at_lo | (target >= fn(hi))
+    out = np.where(at_lo, lo, hi)
+    active = ~done & (hi - lo > tol)
+    while active.any():
+        mid = 0.5 * (lo + hi)
+        active &= (lo < mid) & (mid < hi)
+        value = fn(mid)
+        hit = active & (value == target)
+        out = np.where(hit, mid, out)
+        done |= hit
+        active &= ~hit
+        below = active & (value < target)
+        lo = np.where(below, mid, lo)
+        hi = np.where(active & ~below, mid, hi)
+        active &= hi - lo > tol
+    return np.where(done, out, 0.5 * (lo + hi))
+
+
+def lift_np(model: MapModel, branch):
+    """Vectorized ``model.lift`` for lanes on the given branches (1 or 2 each).
+
+    Gathers per-lane tables of q_i, the branch start, L_i and theta_i / 2 pi
+    once, and returns a function of one point per lane that evaluates both
+    branches in one call, in the expression order of ``BranchProfile.g``.
+    """
+    two = np.asarray(branch) == 2
+    p1, p2 = model.profile1, model.profile2
+    q = np.where(two, model.q2, model.q1)
+    start = np.where(two, model.c_minus, 0.0)
+    length = np.where(two, p2.length, p1.length)
+    k = np.where(two, p2.theta / TWO_PI, p1.theta / TWO_PI)
+
+    def lift(x):
+        t = x - start
+        return q + (t / length + k * np.sin(TWO_PI * t / length))
+
+    return lift
 
 
 def build_model(params: ModelParams) -> MapModel:

@@ -19,19 +19,24 @@ import bisect
 import enum
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .circle import Arc, circle_dist, norm1
 from .errors import EmptyCylinder, EmptyWord, KneadingMismatch, KneadingRecursionViolated
 from .maps import (
     MINUS,
     PLUS,
+    ROOT_TOL,
     SNAP,
     BranchProfile,
     MapModel,
     SignedPoint,
     _bisect_lift,
     bisect_increasing,
+    bisect_increasing_np,
     build_model,
     eval_signed,
+    lift_np,
 )
 
 
@@ -116,15 +121,19 @@ def _region_cuts(model: MapModel):
     return cuts
 
 
-def letter_of(model: MapModel, sp: SignedPoint) -> Letter:
-    """Region letter of a signed point; the side resolves boundary membership."""
-    cuts = _region_cuts(model)
+def _letter_of(cuts, sp: SignedPoint) -> Letter:
+    """Region letter of a signed point, given the region cuts of its model.
+
+    A point within SNAP of a cut sits on the nearest such cut, and its side
+    picks the arc before or after it.
+    """
     x = norm1(sp.x)
-    for i, (c, letter_after) in enumerate(cuts):
-        if circle_dist(x, c) <= SNAP:
-            if sp.side == PLUS:
-                return letter_after
-            return cuts[i - 1][1] if i > 0 else cuts[-1][1]
+    dists = [circle_dist(x, c) for c, _ in cuts]
+    i = min(range(len(cuts)), key=dists.__getitem__)
+    if dists[i] <= SNAP:
+        if sp.side == PLUS:
+            return cuts[i][1]
+        return cuts[i - 1][1] if i > 0 else cuts[-1][1]
     for i in range(len(cuts)):
         lo = cuts[i][0]
         hi = cuts[i + 1][0] if i + 1 < len(cuts) else 1.0
@@ -137,10 +146,11 @@ def letter_of(model: MapModel, sp: SignedPoint) -> Letter:
 
 def itinerary(model: MapModel, sp: SignedPoint, depth: int) -> Word:
     """Depth-k one-sided itinerary via the signed-point automaton."""
+    cuts = _region_cuts(model)
     letters = []
     cur = SignedPoint(norm1(sp.x), sp.side)
     for _ in range(depth):
-        letters.append(letter_of(model, cur))
+        letters.append(_letter_of(cuts, cur))
         cur = eval_signed(model, cur)
     return Word(tuple(letters))
 
@@ -260,26 +270,38 @@ def _region_interval(model: MapModel, letter: Letter):
 
 
 def _image_interval(model: MapModel, letter: Letter):
-    """Closure of f(region) in linear coordinates; each region maps monotonically
-    onto one of the two half-circles cut at c+ = 0."""
-    if letter == Letter.A0:
-        return (model.q1, 1.0)
-    if letter == Letter.A1:
-        return (0.0, model.q1)
-    if letter == Letter.B0:
-        return (model.q2, 1.0)
-    return (0.0, model.q2)
+    """Closure of f(region) in linear coordinates, and the lift offset that
+    carries it back onto the region's branch.
+
+    Each region maps monotonically onto one of the two half-circles cut at
+    c+ = 0; the second half-circle [0, q_i] sits one turn up the lift.  A
+    cusp within SNAP below c+ (a* or b* is then None) counts as sitting on
+    it: its whole region maps onto [0, 1], one turn up.
+    """
+    q = model.q1 if letter in (Letter.A0, Letter.A1) else model.q2
+    if letter in (Letter.A1, Letter.B1):
+        return (0.0, q, 1.0)
+    if q > 0.5 and circle_dist(q, 0.0) <= SNAP:
+        return (0.0, 1.0, 1.0)
+    return (q, 1.0, 0.0)
 
 
-def _pull_back(model: MapModel, letter: Letter, lo: float, hi: float):
-    """Preimage of [lo, hi] (inside the region's image) under the region piece."""
-    branch = 1 if letter in (Letter.A0, Letter.A1) else 2
-    rlo, rhi = _region_interval(model, letter)
-    # lift offset: the second half-circle [0, q_i] sits one turn up the lift
-    off = 1.0 if letter in (Letter.A1, Letter.B1) else 0.0
-    x_lo = _bisect_lift(model, branch, lo + off, rlo, rhi)
-    x_hi = _bisect_lift(model, branch, hi + off, rlo, rhi)
-    return x_lo, x_hi
+# The branch that each letter's region lies on.
+_BRANCH = (1, 1, 2, 2)
+
+# Slack of the empty-cylinder test in realize and realize_many: a cylinder
+# that misses the next letter's image by at most this much is kept,
+# collapsed onto one point.  It forgives a pulled-back end that overshoots a
+# true single-point contact.  Those ends carry the bisection error, up to
+# ROOT_TOL / 2, so a larger overshoot still reads as empty: on M(0.6, 0.3)
+# the closed cylinder of "A1 B0 B0" is the point c-, yet it is refused for
+# an overshoot of 1.1e-13.
+EMPTY_SLACK = 1e-13
+
+
+def _realization(lo: float, hi: float) -> Realization:
+    return Realization(interval=Arc(norm1(lo), hi if hi < 1.0 else 0.0),
+                       midpoint=norm1(0.5 * (lo + hi)))
 
 
 def realize(model: MapModel, w: Word) -> Realization:
@@ -299,16 +321,57 @@ def realize(model: MapModel, w: Word) -> Realization:
     lo, hi = reg
     for j in range(k - 2, -1, -1):
         letter = w.letters[j]
-        if _region_interval(model, letter) is None:
+        reg = _region_interval(model, letter)
+        if reg is None:
             raise EmptyCylinder(k - j)
-        ilo, ihi = _image_interval(model, letter)
+        ilo, ihi, off = _image_interval(model, letter)
         nlo, nhi = max(lo, ilo), min(hi, ihi)
-        if nlo > nhi + 1e-13:
+        if nlo > nhi + EMPTY_SLACK:
             raise EmptyCylinder(k - j)
         nhi = max(nhi, nlo)
-        lo, hi = _pull_back(model, letter, nlo, nhi)
-    interval = Arc(norm1(lo), hi if hi < 1.0 else 0.0)
-    return Realization(interval=interval, midpoint=norm1(0.5 * (lo + hi)))
+        lo = _bisect_lift(model, _BRANCH[letter], nlo + off, *reg)
+        hi = _bisect_lift(model, _BRANCH[letter], nhi + off, *reg)
+    return _realization(lo, hi)
+
+
+def realize_many(model: MapModel, words) -> list[Realization]:
+    """``realize`` of a batch of words of one depth, one numpy lane per word.
+
+    Runs the backward induction of ``realize`` on all words at once and pulls
+    both ends of every cylinder back with one ``bisect_increasing_np`` call
+    per step, so each result equals ``realize`` of its word bit for bit.
+    When some word is not realizable, raises the EmptyCylinder that
+    ``realize`` raises for the first such word in the batch.
+    """
+    if not words:
+        return []
+    k = words[0].depth
+    if k == 0:
+        raise EmptyWord("cannot realize the empty word")
+    letters = np.array([w.letters for w in words], dtype=np.intp)
+    n = len(words)
+    regions = [_region_interval(model, letter) for letter in Letter]
+    empty = np.array([reg is None for reg in regions])
+    rlo, rhi = np.array([reg or (0.0, 0.0) for reg in regions]).T
+    ilo, ihi, offset = np.array([_image_interval(model, letter) for letter in Letter]).T
+    branch = np.array(_BRANCH)
+    # EmptyCylinder depth of each word, 0 while it is still realizable
+    failed = np.where(empty[letters[:, -1]], 1, 0)
+    lo, hi = rlo[letters[:, -1]], rhi[letters[:, -1]]
+    for j in range(k - 2, -1, -1):
+        cur = letters[:, j]
+        nlo, nhi = np.maximum(lo, ilo[cur]), np.minimum(hi, ihi[cur])
+        failed[(failed == 0) & (empty[cur] | (nlo > nhi + EMPTY_SLACK))] = k - j
+        nhi = np.maximum(nhi, nlo)
+        off = offset[cur]
+        ends = bisect_increasing_np(
+            lift_np(model, np.tile(branch[cur], 2)),
+            np.concatenate((nlo + off, nhi + off)),
+            np.tile(rlo[cur], 2), np.tile(rhi[cur], 2), ROOT_TOL)
+        lo, hi = ends[:n], ends[n:]
+    if failed.any():
+        raise EmptyCylinder(int(failed[np.flatnonzero(failed)[0]]))
+    return [_realization(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
 
 
 # --- conjugacy ------------------------------------------------------------
@@ -321,10 +384,10 @@ class ConjugacyResult:
     monotone: bool
 
 
-def _interp_h(pairs, x):
-    """Piecewise-linear circle interpolation through monotone pairs."""
-    xs = [p[0] for p in pairs]
-    i = bisect.bisect_right(xs, x) - 1
+def _interp_h(pairs, knots, x):
+    """Piecewise-linear circle interpolation through monotone pairs; knots
+    holds the pairs' abscissae."""
+    i = bisect.bisect_right(knots, x) - 1
     x0, y0 = pairs[i]
     x1, y1 = pairs[(i + 1) % len(pairs)]
     dx = (x1 - x0) % 1.0 or 1.0
@@ -336,12 +399,14 @@ def _interp_h(pairs, x):
 def build_conjugacy(mx: MapModel, my: MapModel, depth: int, grid: int) -> ConjugacyResult:
     """Leaf-space conjugacy between kneading-equivalent models.
 
-    For grid points x the map h sends x to the midpoint of the my-cylinder of
-    the mx-itinerary of x; the two discontinuities are fixed by construction
-    and are added as exact anchor pairs.  The conjugacy defect is measured
-    exactly through the same cylinder construction (dominated by cylinder
-    diameters), and once more through the interpolated h on a 10x finer probe
-    grid as a diagnostic.
+    For grid points x the map h sends x to H(x), the midpoint of the
+    my-cylinder of the mx-itinerary of x; the two discontinuities are fixed
+    by construction and are added as exact anchor pairs.  The conjugacy
+    defect is measured exactly through the same cylinder construction, as
+    the largest distance between H(f x) and g(h x) (dominated by cylinder
+    diameters), and once more through the interpolated h on a 10x finer
+    probe grid as a diagnostic.  The cylinders of all grid points, and then
+    of all their images, are realized in one batch each by ``realize_many``.
     """
     kx = kneading_data(mx, depth)
     ky = kneading_data(my, depth)
@@ -350,16 +415,13 @@ def build_conjugacy(mx: MapModel, my: MapModel, depth: int, grid: int) -> Conjug
         if sign != EQUAL:
             raise KneadingMismatch(name, idx)
 
-    def H(z: float) -> float:
-        return realize(my, itinerary(mx, SignedPoint(z, PLUS), depth)).midpoint
+    def H(zs):
+        words = [itinerary(mx, SignedPoint(z, PLUS), depth) for z in zs]
+        return [r.midpoint for r in realize_many(my, words)]
 
-    pairs = [(0.0, 0.0), (mx.c_minus, my.c_minus)]
-    for i in range(grid):
-        x = (i + 0.5) / grid
-        if mx.on_discontinuity(x) is not None:
-            continue
-        pairs.append((x, H(x)))
-    pairs.sort()
+    xs = [x for x in ((i + 0.5) / grid for i in range(grid))
+          if mx.on_discontinuity(x) is None]
+    pairs = sorted([(0.0, 0.0), (mx.c_minus, my.c_minus)] + list(zip(xs, H(xs))))
 
     prev = None
     winding = 0.0
@@ -374,15 +436,18 @@ def build_conjugacy(mx: MapModel, my: MapModel, depth: int, grid: int) -> Conjug
     if abs(winding - 1.0) > 1e-6:
         monotone = False
 
-    defect = 0.0
+    fxs, gys = [], []
     for x, y in pairs:
         if mx.on_discontinuity(x) is not None:
             continue
         fx = mx.f(x)
         if mx.on_discontinuity(fx) is not None:
             continue
-        defect = max(defect, circle_dist(H(fx), my.f(y)))
+        fxs.append(fx)
+        gys.append(my.f(y))
+    defect = max((circle_dist(h, gy) for h, gy in zip(H(fxs), gys)), default=0.0)
 
+    knots = [x for x, _ in pairs]
     interp_defect = 0.0
     probes = grid * 10
     for i in range(probes):
@@ -390,8 +455,9 @@ def build_conjugacy(mx: MapModel, my: MapModel, depth: int, grid: int) -> Conjug
         fx = mx.f(x) if mx.on_discontinuity(x) is None else None
         if fx is None or mx.on_discontinuity(fx) is not None:
             continue
-        hx = _interp_h(pairs, x)
-        interp_defect = max(interp_defect, circle_dist(_interp_h(pairs, fx), my.f(hx)))
+        hx = _interp_h(pairs, knots, x)
+        interp_defect = max(interp_defect,
+                            circle_dist(_interp_h(pairs, knots, fx), my.f(hx)))
 
     return ConjugacyResult(pairs=pairs, defect=defect,
                            interp_defect=interp_defect, monotone=monotone)

@@ -4,6 +4,7 @@ import pytest
 
 from lorenzlab import atlas, cli
 from lorenzlab.errors import (
+    KneadingRecursionViolated,
     MissingPaletteEntry,
     NotMarkov,
     ParseError,
@@ -176,7 +177,6 @@ def test_main_exit_codes(tmp_path):
 BAD_INPUTS = [
     # (command, config text, exit code)
     ("realize", '{"word": {"letters": "A0 A0"}}', 3),          # EmptyCylinder
-    ("kneading", '{"model": {"alpha": 2e-9}}', 3),             # recursion check
     ("classify", '{"model": {"alpha": NaN}}', 2),
     ("classify", '{"model": {"alpha": Infinity}}', 2),
     ("classify", '{"model": {"alpha": true}}', 2),
@@ -207,15 +207,26 @@ def test_main_bad_input_exits_cleanly(command, text, code, tmp_path, capsys,
 
 
 @pytest.mark.parametrize("exc", [NotMarkov("strip not crossed"),
-                                 TrackingLost("cusp 1 jumped 0.300")])
+                                 TrackingLost("cusp 1 jumped 0.300"),
+                                 KneadingRecursionViolated("w_mp", "A1", "B0")])
 def test_main_certificate_failures_exit_3(exc, tmp_path, capsys, monkeypatch):
-    # neither error is reachable from a config today; main still maps them
+    # none of these errors is reachable from a config today; main still maps them
     def fail(config, out):
         raise exc
 
     monkeypatch.setitem(cli.COMMANDS, "classify", fail)
     assert cli.main(["classify", "--out", str(tmp_path)]) == 3
     assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_main_kneading_cusp_just_off_c_plus(tmp_path):
+    # alpha = 2e-9 puts a* 8.7e-10 below c-, inside SNAP of both; (c-, +)
+    # snaps to the nearer cut c- and reads B0, as the recursion demands
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"model": {"alpha": 2e-9}}')
+    assert cli.main(["kneading", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    kn = json.loads((tmp_path / "kneading.json").read_text())
+    assert kn["words"]["w_mp"].startswith("B0")
 
 
 def test_main_writes_reports(tmp_path):

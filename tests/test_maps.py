@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from lorenzlab.circle import circle_dist
 from lorenzlab.errors import (
@@ -12,18 +13,23 @@ from lorenzlab.errors import (
 )
 from lorenzlab.maps import (
     PHI,
+    ROOT_TOL,
     PLUS,
     MINUS,
     BranchProfile,
     EigenvalueTriple,
     ModelParams,
     SignedPoint,
+    _bisect_lift,
+    bisect_increasing,
+    bisect_increasing_np,
     build_model,
     check_singularity_conditions,
     derivative,
     eval_signed,
     fixed_points,
     inverse_branch,
+    lift_np,
     verify_hypotheses,
 )
 
@@ -105,6 +111,66 @@ def test_inverse_branch_roundtrip():
         back = inverse_branch(M0, branch, y)
         assert back is not None
         assert circle_dist(back, x) < 1e-10
+
+
+def _clamped_bisect(fn, target, lo, hi, tol):
+    """Scalar reference: the clamp of _bisect_lift, then bisect_increasing."""
+    if target <= fn(lo):
+        return lo
+    if target >= fn(hi):
+        return hi
+    return bisect_increasing(fn, target, lo, hi, tol)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(c_minus=st.floats(0.38, 0.62), theta1=st.floats(0.0, 0.19),
+       theta2=st.floats(0.0, 0.19), alpha=st.floats(-1.0, 2.0),
+       beta=st.floats(-1.0, 2.0), tol=st.sampled_from([0.0, ROOT_TOL, 1e-6]),
+       lanes=st.lists(st.tuples(st.sampled_from([1, 2]), st.floats(-0.5, 1.5),
+                                st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+                      min_size=1, max_size=30))
+def test_bisect_increasing_np_matches_scalar(c_minus, theta1, theta2, alpha, beta,
+                                             tol, lanes):
+    # lane-wise lift bisection on mixed branches, random brackets inside each
+    # branch arc, and targets inside, on and beyond the bracket's end values
+    try:
+        m = M(alpha, beta, c_minus=c_minus, theta1=theta1, theta2=theta2)
+    except ExpansionTooWeak:
+        assume(False)
+    branch = np.array([b for b, _, _, _ in lanes])
+    starts = np.where(branch == 1, 0.0, m.c_minus)
+    ends = np.where(branch == 1, m.c_minus, 1.0)
+    u = np.array([sorted((s, t)) for _, _, s, t in lanes])
+    lo = starts + (ends - starts) * u[:, 0]
+    hi = starts + (ends - starts) * u[:, 1]
+    lift = lift_np(m, branch)
+    f_lo, f_hi = lift(lo), lift(hi)
+    targets = f_lo + (f_hi - f_lo) * np.array([s for _, s, _, _ in lanes])
+    # every third lane aims at an end value exactly
+    targets[::3] = np.where(np.arange(len(lanes))[::3] % 2, f_hi[::3], f_lo[::3])
+    got = bisect_increasing_np(lift, targets, lo, hi, tol)
+    for i, b in enumerate(branch.tolist()):
+        fn = lambda x, b=b: m.lift(b, x)
+        assert f_lo[i] == fn(lo[i])
+        want = _clamped_bisect(fn, targets[i], lo[i], hi[i], tol)
+        assert float(got[i]).hex() == float(want).hex()
+        if tol == ROOT_TOL:
+            want = _bisect_lift(m, b, targets[i], lo[i], hi[i])
+            assert float(got[i]).hex() == float(want).hex()
+
+
+def test_bisect_increasing_np_exact_hits_and_clamps():
+    # fn(x) = 2x + 1 is exact in floats: target 1.5 is hit at the second
+    # midpoint, 1.375 at the fourth; 0.5 and 3.5 clamp to the bracket ends
+    fn = lambda x: 2.0 * x + 1.0
+    targets = np.array([1.5, 1.375, 0.5, 3.5, 1.0, 3.0, 2.2])
+    lo, hi = np.zeros(len(targets)), np.ones(len(targets))
+    for tol in (0.0, 1e-3):
+        got = bisect_increasing_np(fn, targets, lo, hi, tol)
+        want = [_clamped_bisect(fn, t, 0.0, 1.0, tol) for t in targets.tolist()]
+        assert got.tolist() == want
+        assert want[:6] == [0.25, 0.1875, 0.0, 1.0, 0.0, 1.0]
+    assert bisect_increasing_np(fn, targets[:0], lo[:0], hi[:0]).shape == (0,)
 
 
 def test_pinch_property():

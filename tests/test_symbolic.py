@@ -2,10 +2,19 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from lorenzlab.circle import circle_dist
-from lorenzlab.errors import EmptyCylinder, KneadingMismatch
-from lorenzlab.maps import MINUS, PLUS, BranchProfile, ModelParams, SignedPoint, build_model
+from lorenzlab.errors import EmptyCylinder, ExpansionTooWeak, KneadingMismatch
+from lorenzlab.maps import (
+    MINUS,
+    PLUS,
+    SNAP,
+    BranchProfile,
+    ModelParams,
+    SignedPoint,
+    build_model,
+)
 from lorenzlab.symbolic import (
     EQUAL,
     GREATER,
@@ -18,6 +27,7 @@ from lorenzlab.symbolic import (
     kneading_data,
     lex_compare,
     realize,
+    realize_many,
     shift,
     shoot_matched_model,
     star,
@@ -130,6 +140,18 @@ def test_kneading_recursion_grid():
                 assert w.letters == r.letters
 
 
+@pytest.mark.parametrize("theta1", [0.15, 0.0])
+def test_kneading_cusp_just_off_c_plus(theta1):
+    # alpha = 2e-9 lies just outside SNAP of c+, which puts a* within SNAP
+    # below c-; (c-, +) snaps to the nearest cut, c-, and reads B0, so the
+    # direct and recursive kneading words agree for every beta
+    for j in range(80):
+        m = M(2e-9, (j + 0.5) / 80, theta1=theta1)
+        assert m.c_minus - SNAP < m.a_star < m.c_minus
+        kd = kneading_data(m, 30)
+        assert kd.w_mp.letters[0] == Letter.B0
+
+
 def test_admissibility_at_origin_model():
     kd = kneading_data(M(0.0, 0.0), 30)
     assert is_admissible(Word.from_cycle([Letter.A0], 20), kd).admissible
@@ -170,6 +192,129 @@ def test_realize_roundtrip():
         r = realize(M0, w)
         assert circle_dist(r.midpoint, x) <= bound
         assert r.interval.length <= M0.lambda_min ** -29
+
+
+@st.composite
+def random_models(draw):
+    """Models over random c-, theta1, theta2, alpha, beta; a cusp may sit on
+    c+ or within SNAP of it on either side (a* or b* is then None), or on c-."""
+    c = draw(st.floats(0.38, 0.62))
+    theta1, theta2 = draw(st.floats(0.0, 0.19)), draw(st.floats(0.0, 0.19))
+    cusp = st.one_of(st.floats(0.0, 1.0, exclude_max=True),
+                     st.sampled_from([0.0, 5e-10, 1.0 - 5e-10, c]))
+    try:
+        return build_model(ModelParams(draw(cusp), draw(cusp), c_minus=c,
+                                       theta1=theta1, theta2=theta2))
+    except ExpansionTooWeak:
+        assume(False)
+
+
+points = st.floats(0.0, 1.0, exclude_max=True)
+
+
+def _bits(r):
+    return (r.interval.start.hex(), r.interval.end.hex(), r.interval.full,
+            r.midpoint.hex())
+
+
+def _assert_batch_matches_realize(model, words):
+    """realize_many equals realize word by word, bit for bit, or raises the
+    EmptyCylinder depth of the first word realize refuses."""
+    expected = []
+    for w in words:
+        try:
+            expected.append(_bits(realize(model, w)))
+        except EmptyCylinder as exc:
+            with pytest.raises(EmptyCylinder) as err:
+                realize_many(model, words)
+            assert err.value.depth == exc.depth
+            return False
+    assert [_bits(r) for r in realize_many(model, words)] == expected
+    return True
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(model=random_models(), depth=st.integers(1, 30),
+       items=st.lists(st.one_of(
+           st.tuples(points, st.sampled_from([PLUS, MINUS])),
+           st.tuples(st.sampled_from(["c+", "c-"]), st.sampled_from([PLUS, MINUS])),
+           st.lists(st.sampled_from(list(Letter)), min_size=30, max_size=30)),
+           min_size=1, max_size=12))
+def test_realize_many_matches_realize(model, depth, items):
+    # itineraries of random points and of both sides of both discontinuities,
+    # mixed with random words that are mostly not realizable
+    words = []
+    for item in items:
+        if isinstance(item, list):
+            words.append(Word(tuple(item[:depth])))
+            continue
+        x, side = item
+        x = {"c+": 0.0, "c-": model.c_minus}.get(x, x)
+        words.append(itinerary(model, SignedPoint(x, side), depth))
+    _assert_batch_matches_realize(model, words)
+
+
+def test_realize_many_raises_first_failing_word():
+    # "B1 B1" is not realizable: B1 maps onto [0, q2], which misses B1
+    good = itinerary(M0, SignedPoint(0.3, PLUS), 6)
+    deep = star(Letter.A0, star(Letter.B1, itinerary(M0, SignedPoint(0.9, PLUS), 4)))
+    shallow = W("A0 A0 A0 A0 B1 B1")
+    assert [_fail_depth(w) for w in (deep, shallow)] == [5, 2]
+    for words, depth in (([good, deep, shallow], 5), ([shallow, good, deep], 2)):
+        with pytest.raises(EmptyCylinder) as err:
+            realize_many(M0, words)
+        assert err.value.depth == depth
+    assert _assert_batch_matches_realize(M0, [good, good])
+
+
+def _fail_depth(w, model=M0):
+    with pytest.raises(EmptyCylinder) as err:
+        realize(model, w)
+    return err.value.depth
+
+
+def test_realize_many_empty_region():
+    # q1 sits 5e-10 below c+, so a* is None and A1 is empty, although the
+    # image of A1, [0, q1], meets every cylinder
+    m = M(1.0 - 5e-10, 0.3)
+    assert m.a_star is None
+    tail = itinerary(m, SignedPoint(0.3, PLUS), 5)
+    ends_in_a1 = Word(tail.letters[:-1] + (Letter.A1,))
+    for words, depth in (([star(Letter.A1, tail)], 6), ([tail, ends_in_a1], 1)):
+        assert _fail_depth(words[-1], m) == depth
+        assert _assert_batch_matches_realize(m, words) is False
+
+
+def test_realize_cusp_snapped_below_c_plus():
+    # q1 lies 1.1e-16 below c+, so itineraries read it as c+ (a* is None);
+    # region A0 then maps onto the whole circle, one turn up the lift
+    m = M(1.0 - 2.0 ** -53, 0.0, theta1=0.0)
+    assert m.a_star is None
+    for x in (0.0, 0.1, 0.3):
+        r = realize(m, itinerary(m, SignedPoint(x, PLUS), 30))
+        assert circle_dist(r.midpoint, x) <= 2.0 ** -28
+
+
+def test_realize_many_edge_batches():
+    assert realize_many(M0, []) == []
+    with pytest.raises(ValueError):
+        realize_many(M0, [W("A0 B0"), W("A0")])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(model=random_models(), xs=st.lists(points, min_size=1, max_size=20))
+def test_realize_roundtrip_random_models(model, xs):
+    # realize(itinerary(x)) returns a depth-30 cylinder around x, and every
+    # itinerary passes the kneading-order admissibility check; a point
+    # snapped onto a cut within SNAP may sit up to SNAP outside its cylinder
+    bound = 2.0 * model.lambda_min ** -29 + SNAP
+    kd = kneading_data(model, 35)
+    for x in xs:
+        w = itinerary(model, SignedPoint(x, PLUS), 30)
+        assert is_admissible(w, kd, 30).admissible
+        r = realize(model, w)
+        assert circle_dist(r.midpoint, x) <= bound
+        assert r.interval.length <= model.lambda_min ** -29
 
 
 def test_self_conjugacy():
