@@ -78,9 +78,7 @@ class KneadingMismatch(PreconditionError):
 class KneadingRecursionViolated(PreconditionError):
     """A boundary itinerary disagrees with the one-step kneading recursion.
 
-    A cusp just outside SNAP of c+ puts a zero-preimage within SNAP of c-;
-    that used to raise this until boundary points snapped to the nearest
-    region cut, and no model is known to raise it since."""
+    Guards the agreement between direct itineraries and the recursion."""
 
     def __init__(self, word, direct, recursive):
         self.word = word

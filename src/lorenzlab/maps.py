@@ -198,14 +198,14 @@ def _bisect_lift(model: MapModel, branch: int, target: float,
     return bisect_increasing(lambda x: model.lift(branch, x), target, lo, hi, ROOT_TOL)
 
 
-def bisect_increasing_np(fn, target, lo, hi, tol: float = 0.0):
+def bisect_increasing_np(fn, target, lo, hi):
     """Lane-wise ``_bisect_lift``: solve fn(x) = target on [lo, hi] in each lane.
 
     fn maps an array holding one point per lane to the lanes' values and is
     increasing in each lane.  A lane whose target is at or below fn(lo)
     returns lo, one at or above fn(hi) returns hi; every other lane follows
-    ``bisect_increasing``, so each lane equals the scalar result bit for bit
-    when fn does.
+    ``bisect_increasing`` at ROOT_TOL, so each lane equals the scalar result
+    bit for bit when fn does.
     """
     target = np.asarray(target, dtype=float)
     lo = np.asarray(lo, dtype=float)
@@ -213,7 +213,7 @@ def bisect_increasing_np(fn, target, lo, hi, tol: float = 0.0):
     at_lo = target <= fn(lo)
     done = at_lo | (target >= fn(hi))
     out = np.where(at_lo, lo, hi)
-    active = ~done & (hi - lo > tol)
+    active = ~done & (hi - lo > ROOT_TOL)
     while active.any():
         mid = 0.5 * (lo + hi)
         active &= (lo < mid) & (mid < hi)
@@ -225,29 +225,27 @@ def bisect_increasing_np(fn, target, lo, hi, tol: float = 0.0):
         below = active & (value < target)
         lo = np.where(below, mid, lo)
         hi = np.where(active & ~below, mid, hi)
-        active &= hi - lo > tol
+        active &= hi - lo > ROOT_TOL
     return np.where(done, out, 0.5 * (lo + hi))
 
 
 def lift_np(model: MapModel, branch):
     """Vectorized ``model.lift`` for lanes on the given branches (1 or 2 each).
 
-    Gathers per-lane tables of q_i, the branch start, L_i and theta_i / 2 pi
-    once, and returns a function of one point per lane that evaluates both
-    branches in one call, in the expression order of ``BranchProfile.g``.
+    Gathers each lane's cusp value, branch start and profile once, and
+    returns a function of one point per lane that evaluates
+    ``BranchProfile.g_np`` once over all lanes.  It equals ``model.lift``
+    bit for bit only while ``np.sin`` equals ``math.sin`` on the profile
+    arguments; a test checks that on the default model.
     """
     two = np.asarray(branch) == 2
     p1, p2 = model.profile1, model.profile2
     q = np.where(two, model.q2, model.q1)
     start = np.where(two, model.c_minus, 0.0)
-    length = np.where(two, p2.length, p1.length)
-    k = np.where(two, p2.theta / TWO_PI, p1.theta / TWO_PI)
-
-    def lift(x):
-        t = x - start
-        return q + (t / length + k * np.sin(TWO_PI * t / length))
-
-    return lift
+    # one profile whose length and theta are per-lane arrays
+    profile = BranchProfile(np.where(two, p2.length, p1.length),
+                            np.where(two, p2.theta, p1.theta))
+    return lambda x: q + profile.g_np(x - start)
 
 
 def build_model(params: ModelParams) -> MapModel:

@@ -26,7 +26,6 @@ from .errors import EmptyCylinder, EmptyWord, KneadingMismatch, KneadingRecursio
 from .maps import (
     MINUS,
     PLUS,
-    ROOT_TOL,
     SNAP,
     BranchProfile,
     MapModel,
@@ -367,7 +366,7 @@ def realize_many(model: MapModel, words) -> list[Realization]:
         ends = bisect_increasing_np(
             lift_np(model, np.tile(branch[cur], 2)),
             np.concatenate((nlo + off, nhi + off)),
-            np.tile(rlo[cur], 2), np.tile(rhi[cur], 2), ROOT_TOL)
+            np.tile(rlo[cur], 2), np.tile(rhi[cur], 2))
         lo, hi = ends[:n], ends[n:]
     if failed.any():
         raise EmptyCylinder(int(failed[np.flatnonzero(failed)[0]]))

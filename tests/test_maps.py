@@ -113,24 +113,24 @@ def test_inverse_branch_roundtrip():
         assert circle_dist(back, x) < 1e-10
 
 
-def _clamped_bisect(fn, target, lo, hi, tol):
+def _clamped_bisect(fn, target, lo, hi):
     """Scalar reference: the clamp of _bisect_lift, then bisect_increasing."""
     if target <= fn(lo):
         return lo
     if target >= fn(hi):
         return hi
-    return bisect_increasing(fn, target, lo, hi, tol)
+    return bisect_increasing(fn, target, lo, hi, ROOT_TOL)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(c_minus=st.floats(0.38, 0.62), theta1=st.floats(0.0, 0.19),
        theta2=st.floats(0.0, 0.19), alpha=st.floats(-1.0, 2.0),
-       beta=st.floats(-1.0, 2.0), tol=st.sampled_from([0.0, ROOT_TOL, 1e-6]),
+       beta=st.floats(-1.0, 2.0),
        lanes=st.lists(st.tuples(st.sampled_from([1, 2]), st.floats(-0.5, 1.5),
                                 st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
                       min_size=1, max_size=30))
 def test_bisect_increasing_np_matches_scalar(c_minus, theta1, theta2, alpha, beta,
-                                             tol, lanes):
+                                             lanes):
     # lane-wise lift bisection on mixed branches, random brackets inside each
     # branch arc, and targets inside, on and beyond the bracket's end values
     try:
@@ -148,28 +148,31 @@ def test_bisect_increasing_np_matches_scalar(c_minus, theta1, theta2, alpha, bet
     targets = f_lo + (f_hi - f_lo) * np.array([s for _, s, _, _ in lanes])
     # every third lane aims at an end value exactly
     targets[::3] = np.where(np.arange(len(lanes))[::3] % 2, f_hi[::3], f_lo[::3])
-    got = bisect_increasing_np(lift, targets, lo, hi, tol)
+    got = bisect_increasing_np(lift, targets, lo, hi)
     for i, b in enumerate(branch.tolist()):
-        fn = lambda x, b=b: m.lift(b, x)
-        assert f_lo[i] == fn(lo[i])
-        want = _clamped_bisect(fn, targets[i], lo[i], hi[i], tol)
+        assert f_lo[i] == m.lift(b, lo[i])
+        want = _bisect_lift(m, b, targets[i], lo[i], hi[i])
         assert float(got[i]).hex() == float(want).hex()
-        if tol == ROOT_TOL:
-            want = _bisect_lift(m, b, targets[i], lo[i], hi[i])
-            assert float(got[i]).hex() == float(want).hex()
 
 
 def test_bisect_increasing_np_exact_hits_and_clamps():
-    # fn(x) = 2x + 1 is exact in floats: target 1.5 is hit at the second
-    # midpoint, 1.375 at the fourth; 0.5 and 3.5 clamp to the bracket ends
-    fn = lambda x: 2.0 * x + 1.0
-    targets = np.array([1.5, 1.375, 0.5, 3.5, 1.0, 3.0, 2.2])
-    lo, hi = np.zeros(len(targets)), np.ones(len(targets))
-    for tol in (0.0, 1e-3):
-        got = bisect_increasing_np(fn, targets, lo, hi, tol)
-        want = [_clamped_bisect(fn, t, 0.0, 1.0, tol) for t in targets.tolist()]
-        assert got.tolist() == want
-        assert want[:6] == [0.25, 0.1875, 0.0, 1.0, 0.0, 1.0]
+    # fn(x) = 3x + 1 is exact on dyadic x in [0, 1]: target 1.75 is hit at
+    # the second midpoint, 1.5625 at the fourth; 0.5 and 4.5 clamp to the
+    # bracket ends, 2.8 bisects down to ROOT_TOL.  The last lane sits where
+    # one float step exceeds ROOT_TOL and stops once the midpoint no longer
+    # splits its bracket.
+    fn = lambda x: 3.0 * x + 1.0
+    big = 2.0 ** 40
+    targets = np.array([1.75, 1.5625, 0.5, 4.5, 1.0, 4.0, 2.8, fn(big) + 2.0 ** -11])
+    lo = np.array([0.0] * 7 + [big])
+    hi = np.array([1.0] * 7 + [big + 2.0 ** -8])
+    got = bisect_increasing_np(fn, targets, lo, hi)
+    want = [_clamped_bisect(fn, t, a, b)
+            for t, a, b in zip(targets.tolist(), lo.tolist(), hi.tolist())]
+    assert got.tolist() == want
+    assert want[:6] == [0.25, 0.1875, 0.0, 1.0, 0.0, 1.0]
+    assert abs(want[6] - 0.6) <= ROOT_TOL
+    assert fn(want[7]) != targets[7] and hi[7] - lo[7] > ROOT_TOL
     assert bisect_increasing_np(fn, targets[:0], lo[:0], hi[:0]).shape == (0,)
 
 

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from lorenzlab.maps import (
     MINUS,
     PLUS,
     SNAP,
+    TWO_PI,
     BranchProfile,
     ModelParams,
     SignedPoint,
@@ -299,6 +301,26 @@ def test_realize_many_edge_batches():
     assert realize_many(M0, []) == []
     with pytest.raises(ValueError):
         realize_many(M0, [W("A0 B0"), W("A0")])
+
+
+def test_np_sin_matches_math_sin_on_batch_lift_arguments(monkeypatch):
+    # realize_many equals realize bit for bit only while np.sin equals
+    # math.sin on every argument the batch lift evaluates.  Record those
+    # arguments over a conjugacy-sized batch on M0 and compare, so a platform
+    # that breaks the premise fails here rather than through moved digests.
+    args = []
+    g_np = BranchProfile.g_np
+
+    def recording(self, t):
+        args.append(TWO_PI * t / self.length)
+        return g_np(self, t)
+
+    monkeypatch.setattr(BranchProfile, "g_np", recording)
+    words = [itinerary(M0, SignedPoint(i / 100, PLUS), 30) for i in range(100)]
+    realize_many(M0, words)
+    assert len(args) > 1000
+    for arg in args:
+        assert np.sin(arg).tolist() == [math.sin(a) for a in arg.tolist()]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
