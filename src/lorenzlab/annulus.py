@@ -25,7 +25,7 @@ import numpy as np
 
 from .circle import Arc, norm1
 from .errors import ConeBoundViolated, OnDiscontinuity, PreconditionError, TrackingLost
-from .maps import SNAP, MapModel
+from .maps import SNAP, MapModel, branch_lanes
 
 TWO_PI = 2.0 * math.pi
 
@@ -76,19 +76,19 @@ def apply_skew(skew: SkewModel, p: tuple[float, float]) -> tuple[float, float]:
 
 
 def _pinch_terms(base: MapModel, x):
-    """Per-sample branch mask, pinch rho(t) = sin(pi t / L) and its slope."""
-    in1 = x < base.c_minus
-    t = np.where(in1, x, x - base.c_minus)
-    L = np.where(in1, base.profile1.length, base.profile2.length)
-    return in1, np.sin(np.pi * t / L), (np.pi / L) * np.cos(np.pi * t / L)
+    """Per-sample branch-2 mask, pinch rho(t) = sin(pi t / L) and its slope."""
+    two = x >= base.c_minus
+    _, start, profile = branch_lanes(base, two)
+    t, L = x - start, profile.length
+    return two, np.sin(np.pi * t / L), (np.pi / L) * np.cos(np.pi * t / L)
 
 
 def apply_skew_np(skew: SkewModel, x, y):
     """Vectorized skew step; callers keep samples off the discontinuities."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    in1, rho, _ = _pinch_terms(skew.base, x)
-    eta = np.where(in1, skew.eta1, skew.eta2)
+    two, rho, _ = _pinch_terms(skew.base, x)
+    eta = np.where(two, skew.eta2, skew.eta1)
     return skew.base.f_np(x), eta + skew.kappa * rho * y
 
 
@@ -109,8 +109,7 @@ class ConeReport:
         return self.cone_ok and self.expansion_ok and self.product_ok
 
 
-def verify_cones(skew: SkewModel, grid_x: int = 1000, grid_y: int = 100,
-                 settle: int = 12) -> ConeReport:
+def verify_cones(skew: SkewModel, grid_x: int = 1000, grid_y: int = 100) -> ConeReport:
     """Sample the derivative cocycle on a grid.
 
     (a) the horizontal cone |v_y| <= |v_x| maps strictly inside itself; the
@@ -120,7 +119,7 @@ def verify_cones(skew: SkewModel, grid_x: int = 1000, grid_y: int = 100,
     (c) the return-map form of the foliation regularity product
         ||DP|fiber|| * ||DP^-1|E^u(image)|| * ||DP|E^u|| stays below one.
     The unstable direction for (c) is obtained by pushing the horizontal
-    direction forward ``settle`` steps, which converges at rate kappa/lambda.
+    direction forward 12 steps, which converges at rate kappa/lambda.
     The conservative analytic cone bound is reported alongside: it can exceed
     one (flagged) while every sample still passes.
     """
@@ -150,7 +149,7 @@ def verify_cones(skew: SkewModel, grid_x: int = 1000, grid_y: int = 100,
     # aligned triple product at the settled point
     xo, yo = x.copy(), y.copy()
     s = np.zeros_like(xo)
-    for _ in range(settle):
+    for _ in range(12):
         fpo = base.deriv_np(xo)
         _, rho_o, drho_o = _pinch_terms(base, xo)
         s = (skew.kappa * drho_o * yo + skew.kappa * rho_o * s) / fpo
@@ -244,12 +243,12 @@ def attractor_cloud(skew: SkewModel, depth: int, samples: int,
 
 def leaf_span_2d(skew: SkewModel, depth: int = 16, samples: int = 4000,
                  burn_in: int = 80, seed: int = 11,
-                 seed_arc: Arc | None = None, gap_eps: float = 1e-3) -> Arc:
+                 seed_arc: Arc | None = None) -> Arc:
     """Arc of x-fibers met by the depth-n attractor approximation.
 
     Collects the x-coordinates of a burned-in orbit cloud and returns the
     complement of the largest circular gap; a full circle is reported when no
-    gap exceeds the resolution.
+    gap reaches the resolution 1e-3.
     """
     cloud = attractor_cloud(skew, depth=min(depth, 16), samples=samples,
                             burn_in=burn_in, seed=seed, seed_arc=seed_arc)
@@ -263,7 +262,7 @@ def leaf_span_2d(skew: SkewModel, depth: int = 16, samples: int = 4000,
         gap_lo, gap_hi, gap_len = xs[-1], xs[0], wrap
     else:
         gap_lo, gap_hi, gap_len = xs[i], xs[i + 1], gaps[i]
-    if gap_len < gap_eps:
+    if gap_len < 1e-3:
         return Arc.full_circle()
     return Arc(norm1(gap_hi), norm1(gap_lo))
 
@@ -281,24 +280,23 @@ class DegreeMatrix:
         return a * d - b * c
 
 
-def family_degree(family, loops=None, step: float = 1e-3) -> DegreeMatrix:
+def family_degree(family, step: float = 1e-3) -> DegreeMatrix:
     """Winding matrix of the cusp-position map of a torus family.
 
     ``family`` maps (mu1, mu2) on the parameter torus to a MapModel; the two
-    cusps are tracked continuously along each generator loop and their net
-    signed windings past the upper discontinuity fill a 2x2 integer matrix.
-    The family is essential exactly when the determinant is one.
+    cusps are tracked continuously along the generator loops mu1 = s and
+    mu2 = s (s in [0, 1], the other parameter 0), and their net signed
+    windings past the upper discontinuity fill a 2x2 integer matrix.  The
+    family is essential exactly when the determinant is one.
     """
-    if loops is None:
-        loops = (lambda s: (s, 0.0), lambda s: (0.0, s))
     n = max(2, int(round(1.0 / step)))
     entries = [[0, 0], [0, 0]]
-    for j, loop in enumerate(loops):
+    for j in range(2):
         winds = [0.0, 0.0]
         prev = None
         for i in range(n + 1):
-            mu = loop(i / n)
-            model = family(mu[0], mu[1])
+            s = i / n
+            model = family(s, 0.0) if j == 0 else family(0.0, s)
             qs = (model.q1, model.q2)
             if prev is not None:
                 for k in range(2):

@@ -464,39 +464,35 @@ class SpanResult:
     missed_points: list[float]
     certificate: CoverageCertificate
     verdict: RegionVerdict
+    trapping: TrappingCertificate | None
 
 
-def attractor_span(model: MapModel, side_hint: str | None = None,
-                   maxN: int = 60, eps: float = 1e-3) -> SpanResult:
+def attractor_span(model: MapModel, maxN: int = 60, eps: float = 1e-3) -> SpanResult:
     """Smallest arc of stable leaves met by the attractor.
 
-    Seeds a short arc at a cusp and runs the segment engine, confined to the
-    trapping interval when the classification provides one; the span is the
-    complement of the largest gap left in the accumulated union, and ``full``
-    means every gap has shrunk below the engine resolution.
+    Seeds a short arc at the cusp q1 and runs the segment engine, confined to
+    the trapping interval when the classification provides one (an up or
+    down Lorenz verdict; that certificate is returned as ``trapping``); the
+    span is the complement of the largest gap left in the accumulated union,
+    and ``full`` means every gap has shrunk below the engine resolution.
     """
     v = classify(model)
-    confine = None
-    if v.dynamics in (UP_LORENZ, DOWN_LORENZ):
-        confine = trapping_interval(model, v).R_L
-    elif v.dynamics == DOUBLE_FULL:
-        confine = None  # both components invariant; seed side picks the piece
-
-    seed_at = model.q2 if side_hint == "minus" else model.q1
+    trap = trapping_interval(model, v) if v.dynamics in (UP_LORENZ, DOWN_LORENZ) else None
+    confine = None if trap is None else trap.R_L
     delta = 1e-3
     if confine is not None:
         # keep the seed inside the trapped region
-        room = dist_ccw(seed_at, confine.end)
+        room = dist_ccw(model.q1, confine.end)
         delta = min(delta, room / 2) if room > 0 else delta
-    seed = Arc(seed_at, norm1(seed_at + delta))
+    seed = Arc(model.q1, norm1(model.q1 + delta))
 
     cert = iterate_segments(model, seed, maxN=maxN, eps=eps, confine=confine)
     gap = max(cert.gap_arcs, key=lambda g: g.length, default=None)
     if gap is None or gap.length < eps:
         return SpanResult(span=Arc.full_circle(), full=True, length=1.0,
                           missed_points=cert.missed_points, certificate=cert,
-                          verdict=v)
+                          verdict=v, trapping=trap)
     span = Arc(gap.end, gap.start)
     return SpanResult(span=span, full=False, length=span.length,
                       missed_points=cert.missed_points, certificate=cert,
-                      verdict=v)
+                      verdict=v, trapping=trap)

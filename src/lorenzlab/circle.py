@@ -60,8 +60,8 @@ class Arc:
     full: bool = False
 
     @staticmethod
-    def full_circle(anchor: float = 0.0) -> "Arc":
-        return Arc(norm1(anchor), norm1(anchor), full=True)
+    def full_circle() -> "Arc":
+        return Arc(0.0, 0.0, full=True)
 
     @property
     def length(self) -> float:

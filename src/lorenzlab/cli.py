@@ -30,7 +30,7 @@ from .annulus import (
     leaf_span_2d,
     verify_cones,
 )
-from .atlas import attractor_span, classify, classify_grid, trapping_interval
+from .atlas import attractor_span, classify, classify_grid
 from .circle import Arc
 from .errors import (
     BudgetError,
@@ -102,7 +102,7 @@ def _pair(v, field):
 
 def _choice(options):
     def check(v, field):
-        if v not in options:
+        if not isinstance(v, str) or v not in options:
             raise ValidationError(field, f"must be one of {sorted(options)}")
     return check
 
@@ -347,9 +347,7 @@ def run_path(config: Config):
         beta = b0 + (b1 - b0) * t
         model = build_model(replace(params, alpha=alpha, beta=beta))
         span = attractor_span(model, maxN=eng["max_iterations"], eps=eng["eps"])
-        trap = ""
-        if span.verdict.dynamics in (atlas.UP_LORENZ, atlas.DOWN_LORENZ):
-            trap = trapping_interval(model, span.verdict).invariance_margin
+        trap = "" if span.trapping is None else span.trapping.invariance_margin
         rows.append([k, alpha, beta, span.verdict.stratum, span.length,
                      span.full, trap])
         if prev_len is not None and abs(span.length - prev_len) > 0.25:

@@ -101,9 +101,9 @@ class MapModel:
     """Built model with cached cusps and slope bounds.
 
     a_star / b_star are the unique interior solutions of f = 0 on each branch
-    (None when the cusp sits on c+, in which case the corresponding itinerary
-    region degenerates); they are solved on first access, since only the
-    symbolic layer reads them.  Immutable.
+    (None when the cusp lies within SNAP of c+, on either side, in which case
+    the corresponding itinerary region degenerates); they are solved on first
+    access, since only the symbolic layer reads them.  Immutable.
     """
 
     params: ModelParams
@@ -144,23 +144,19 @@ class MapModel:
     def f_np(self, x):
         """Vectorized map; callers keep samples off the two discontinuities."""
         x = np.asarray(x, dtype=float)
-        in1 = x < self.c_minus
-        y1 = self.q1 + self.profile1.g_np(np.where(in1, x, 0.0))
-        y2 = self.q2 + self.profile2.g_np(np.where(in1, 0.0, x - self.c_minus))
-        return np.where(in1, y1, y2) % 1.0
+        q, start, profile = branch_lanes(self, x >= self.c_minus)
+        return (q + profile.g_np(x - start)) % 1.0
 
     def deriv_np(self, x):
         x = np.asarray(x, dtype=float)
-        in1 = x < self.c_minus
-        d1 = self.profile1.dg_np(np.where(in1, x, 0.0))
-        d2 = self.profile2.dg_np(np.where(in1, 0.0, x - self.c_minus))
-        return np.where(in1, d1, d2)
+        _, start, profile = branch_lanes(self, x >= self.c_minus)
+        return profile.dg_np(x - start)
 
-    def on_discontinuity(self, x: float, tol: float = SNAP) -> float | None:
-        """Return the discontinuity (0 or c-) that x sits on, if any."""
-        if circle_dist(x, 0.0) <= tol:
+    def on_discontinuity(self, x: float) -> float | None:
+        """Return the discontinuity (0 or c-) that x sits within SNAP of, if any."""
+        if circle_dist(x, 0.0) <= SNAP:
             return 0.0
-        if circle_dist(x, self.c_minus) <= tol:
+        if circle_dist(x, self.c_minus) <= SNAP:
             return self.c_minus
         return None
 
@@ -229,22 +225,28 @@ def bisect_increasing_np(fn, target, lo, hi):
     return np.where(done, out, 0.5 * (lo + hi))
 
 
-def lift_np(model: MapModel, branch):
-    """Vectorized ``model.lift`` for lanes on the given branches (1 or 2 each).
-
-    Gathers each lane's cusp value, branch start and profile once, and
-    returns a function of one point per lane that evaluates
-    ``BranchProfile.g_np`` once over all lanes.  It equals ``model.lift``
-    bit for bit only while ``np.sin`` equals ``math.sin`` on the profile
-    arguments; a test checks that on the default model.
-    """
-    two = np.asarray(branch) == 2
+def branch_lanes(model: MapModel, two):
+    """Per-lane branch data for lanes marked True in ``two`` on branch 2 and
+    the rest on branch 1: the cusp value q, the branch start, and one
+    ``BranchProfile`` whose length and theta are per-lane arrays, so a lane's
+    branch is evaluated with one ``g_np`` or ``dg_np`` call over all lanes."""
     p1, p2 = model.profile1, model.profile2
     q = np.where(two, model.q2, model.q1)
     start = np.where(two, model.c_minus, 0.0)
-    # one profile whose length and theta are per-lane arrays
     profile = BranchProfile(np.where(two, p2.length, p1.length),
                             np.where(two, p2.theta, p1.theta))
+    return q, start, profile
+
+
+def lift_np(model: MapModel, branch):
+    """Vectorized ``model.lift`` for lanes on the given branches (1 or 2 each).
+
+    Gathers each lane's branch data once and returns a function of one point
+    per lane.  It equals ``model.lift`` bit for bit only while ``np.sin``
+    equals ``math.sin`` on the profile arguments; a test checks that on the
+    default model.
+    """
+    q, start, profile = branch_lanes(model, np.asarray(branch) == 2)
     return lambda x: q + profile.g_np(x - start)
 
 
@@ -361,10 +363,10 @@ class HypothesesReport:
         return self.wrap_ok and self.monotone_ok and self.expansion_ok and self.pinch_ok
 
 
-def verify_hypotheses(model: MapModel, grid: int = 10_000) -> HypothesesReport:
+def verify_hypotheses(model: MapModel) -> HypothesesReport:
     """Check the return-map hypotheses: single wrap per branch, strict
-    monotonicity, expansion above the required rate, and the pinch identities
-    at the two discontinuities."""
+    monotonicity (slopes sampled at 10,000 points per branch), expansion above
+    the required rate, and the pinch identities at the two discontinuities."""
     failures = []
 
     wrap_ok = True
@@ -373,8 +375,8 @@ def verify_hypotheses(model: MapModel, grid: int = 10_000) -> HypothesesReport:
             wrap_ok = False
             failures.append(f"{name} does not wrap exactly once")
 
-    ts1 = np.linspace(0.0, model.profile1.length, grid)
-    ts2 = np.linspace(0.0, model.profile2.length, grid)
+    ts1 = np.linspace(0.0, model.profile1.length, 10_000)
+    ts2 = np.linspace(0.0, model.profile2.length, 10_000)
     sampled_min = min(model.profile1.dg_np(ts1).min(), model.profile2.dg_np(ts2).min())
     analytic_min = min(model.profile1.min_slope, model.profile2.min_slope)
     monotone_ok = sampled_min > 0.0 and analytic_min > 0.0

@@ -7,8 +7,11 @@ by the two discontinuities and the interior preimages of c+:
 
     A0 = (c+, a*)   A1 = (a*, c-)   B0 = (c-, b*)   B1 = (b*, c+)
 
-where f(a*) = f(b*) = c+ = 0.  When a cusp sits on c+ the corresponding
-starred preimage disappears and the letter A1 (resp. B1) becomes unreachable.
+where f(a*) = f(b*) = c+ = 0.  When a cusp lies within SNAP of c+, on either
+side, it counts as sitting on c+: the corresponding starred preimage
+disappears, the letter A1 (resp. B1) becomes unreachable and the whole branch
+reads A0 (resp. B0).  One letter-region table per model (``_regions``) holds
+this geometry for itineraries, realization and the kneading recursion.
 One-sided itineraries are computed with the signed-point automaton, never
 with epsilon offsets, so boundary itineraries are exact.
 """
@@ -18,6 +21,7 @@ from __future__ import annotations
 import bisect
 import enum
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,6 +30,7 @@ from .errors import EmptyCylinder, EmptyWord, KneadingMismatch, KneadingRecursio
 from .maps import (
     MINUS,
     PLUS,
+    ROOT_TOL,
     SNAP,
     BranchProfile,
     MapModel,
@@ -70,12 +75,12 @@ class Word:
         return Word(tuple(Letter[tok] for tok in text.replace(",", " ").split()))
 
     @staticmethod
-    def from_cycle(block, depth: int, prefix=()) -> "Word":
-        """Materialize prefix + periodic block to the requested depth."""
+    def from_cycle(block, depth: int) -> "Word":
+        """Materialize a periodic block to the requested depth."""
         block = tuple(block)
         if not block:
             raise EmptyWord("periodic block must be nonempty")
-        letters = list(prefix)
+        letters = []
         while len(letters) < depth:
             letters.extend(block)
         return Word(tuple(letters[:depth]))
@@ -107,45 +112,82 @@ def star(letter: Letter, w: Word) -> Word:
     return Word((letter,) + w.letters)
 
 
+# --- letter regions -------------------------------------------------------
+
+class _Region(NamedTuple):
+    """The closed region [lo, hi] of one letter in linear [0, 1] coordinates,
+    the closure [ilo, ihi] of its image, the lift offset that carries the
+    image back onto the region's branch, and that branch."""
+
+    lo: float
+    hi: float
+    ilo: float
+    ihi: float
+    offset: float
+    branch: int
+
+
+def _regions(model: MapModel) -> list[_Region | None]:
+    """The letter-region table of a model, indexed by Letter; None marks an
+    empty region.
+
+    Each region maps monotonically onto one of the two half-circles cut at
+    c+ = 0; the second half-circle [0, q_i] sits one turn up the lift.  A
+    cusp within SNAP of c+ on either side counts as sitting on it (a* or b*
+    is then None): A1 (resp. B1) is empty and the whole branch maps onto
+    [0, 1], one turn up when the cusp lies just below c+.
+    """
+    table = []
+    for branch, start, end, q, cut in ((1, 0.0, model.c_minus, model.q1, model.a_star),
+                                       (2, model.c_minus, 1.0, model.q2, model.b_star)):
+        if cut is None:
+            table += [_Region(start, end, 0.0, 1.0, float(q > 0.5), branch), None]
+        else:
+            table += [_Region(start, cut, q, 1.0, 0.0, branch),
+                      _Region(cut, end, 0.0, q, 1.0, branch)]
+    return table
+
+
+def _empty_slack(model: MapModel) -> float:
+    """Slack of the empty-cylinder test in realize and realize_many.
+
+    A cylinder that misses the next letter's image by at most this much is
+    kept, collapsed onto one point.  Image ends (0, q_i, 1) are exact, so the
+    miss is the error of one pulled-back cylinder end.  Each pull-back (and
+    a*, b*) stops within ROOT_TOL / 2 of its true value, and the branch
+    inverse shrinks the error carried from deeper steps by 1/lambda_min, so
+    the total is at most (ROOT_TOL / 2) * sum(lambda^-n) = (ROOT_TOL / 2) *
+    lambda / (lambda - 1).
+    """
+    lam = model.lambda_min
+    return 0.5 * ROOT_TOL * lam / (lam - 1.0)
+
+
 # --- itineraries ----------------------------------------------------------
 
-def _region_cuts(model: MapModel):
-    """Ascending region boundaries with the letter of the arc that follows."""
-    cuts = [(0.0, Letter.A0)]
-    if model.a_star is not None:
-        cuts.append((model.a_star, Letter.A1))
-    cuts.append((model.c_minus, Letter.B0))
-    if model.b_star is not None:
-        cuts.append((model.b_star, Letter.B1))
-    return cuts
-
-
 def _letter_of(cuts, sp: SignedPoint) -> Letter:
-    """Region letter of a signed point, given the region cuts of its model.
+    """Region letter of a signed point, given its model's nonempty regions as
+    (lo, hi, letter) in circle order.
 
-    A point within SNAP of a cut sits on the nearest such cut, and its side
-    picks the arc before or after it.
+    A point within SNAP of a region's lower end sits on the nearest such
+    cut, and its side picks the region after or before it.
     """
     x = norm1(sp.x)
-    dists = [circle_dist(x, c) for c, _ in cuts]
+    dists = [circle_dist(x, lo) for lo, _, _ in cuts]
     i = min(range(len(cuts)), key=dists.__getitem__)
     if dists[i] <= SNAP:
-        if sp.side == PLUS:
-            return cuts[i][1]
-        return cuts[i - 1][1] if i > 0 else cuts[-1][1]
-    for i in range(len(cuts)):
-        lo = cuts[i][0]
-        hi = cuts[i + 1][0] if i + 1 < len(cuts) else 1.0
+        return cuts[i if sp.side == PLUS else i - 1][2]
+    for lo, hi, letter in cuts:
         if lo < x < hi:
-            return cuts[i][1]
-    # x in the wrap gap (b*, 1) handled above via hi = 1.0; only reachable
-    # when x rounds to 1.0 exactly, which norm1 maps to 0.0
-    return cuts[-1][1]
+            return letter
+    # not reached: a point outside every open region is on a cut, within SNAP
+    return cuts[-1][2]
 
 
 def itinerary(model: MapModel, sp: SignedPoint, depth: int) -> Word:
     """Depth-k one-sided itinerary via the signed-point automaton."""
-    cuts = _region_cuts(model)
+    cuts = [(r.lo, r.hi, letter)
+            for letter, r in zip(Letter, _regions(model)) if r is not None]
     letters = []
     cur = SignedPoint(norm1(sp.x), sp.side)
     for _ in range(depth):
@@ -176,15 +218,13 @@ class KneadingData:
 def _recursion_forms(model: MapModel, depth: int) -> KneadingData:
     """The four kneading words rebuilt from the one-step recursion at the
     discontinuities (first letter by case analysis, tail from the cusp orbit)."""
-    q1_on_plus = circle_dist(model.q1, 0.0) <= SNAP
-    q2_on_plus = circle_dist(model.q2, 0.0) <= SNAP
+    table = _regions(model)
     w_pp = star(Letter.A0, itinerary(model, SignedPoint(model.q1, PLUS), depth - 1))
     w_mp = star(Letter.B0, itinerary(model, SignedPoint(model.q2, PLUS), depth - 1))
-    if q1_on_plus:
-        w_mm = star(Letter.A0, itinerary(model, SignedPoint(model.q1, MINUS), depth - 1))
-    else:
-        w_mm = star(Letter.A1, itinerary(model, SignedPoint(model.q1, MINUS), depth - 1))
-    if q2_on_plus:
+    # with a cusp on c+, region A1 (resp. B1) is empty and A0 (resp. B0) ends at c-
+    w_mm = star(Letter.A0 if table[Letter.A1] is None else Letter.A1,
+                itinerary(model, SignedPoint(model.q1, MINUS), depth - 1))
+    if table[Letter.B1] is None:
         w_pm = Word.from_cycle((Letter.B0,), depth)
     else:
         w_pm = star(Letter.B1, itinerary(model, SignedPoint(model.q2, MINUS), depth - 1))
@@ -256,48 +296,6 @@ class Realization:
     midpoint: float
 
 
-def _region_interval(model: MapModel, letter: Letter):
-    """Closed region interval in linear [0, 1] coordinates, or None if empty."""
-    a, b, c = model.a_star, model.b_star, model.c_minus
-    if letter == Letter.A0:
-        return (0.0, a if a is not None else c)
-    if letter == Letter.A1:
-        return None if a is None else (a, c)
-    if letter == Letter.B0:
-        return (c, b if b is not None else 1.0)
-    return None if b is None else (b, 1.0)
-
-
-def _image_interval(model: MapModel, letter: Letter):
-    """Closure of f(region) in linear coordinates, and the lift offset that
-    carries it back onto the region's branch.
-
-    Each region maps monotonically onto one of the two half-circles cut at
-    c+ = 0; the second half-circle [0, q_i] sits one turn up the lift.  A
-    cusp within SNAP below c+ (a* or b* is then None) counts as sitting on
-    it: its whole region maps onto [0, 1], one turn up.
-    """
-    q = model.q1 if letter in (Letter.A0, Letter.A1) else model.q2
-    if letter in (Letter.A1, Letter.B1):
-        return (0.0, q, 1.0)
-    if q > 0.5 and circle_dist(q, 0.0) <= SNAP:
-        return (0.0, 1.0, 1.0)
-    return (q, 1.0, 0.0)
-
-
-# The branch that each letter's region lies on.
-_BRANCH = (1, 1, 2, 2)
-
-# Slack of the empty-cylinder test in realize and realize_many: a cylinder
-# that misses the next letter's image by at most this much is kept,
-# collapsed onto one point.  It forgives a pulled-back end that overshoots a
-# true single-point contact.  Those ends carry the bisection error, up to
-# ROOT_TOL / 2, so a larger overshoot still reads as empty: on M(0.6, 0.3)
-# the closed cylinder of "A1 B0 B0" is the point c-, yet it is refused for
-# an overshoot of 1.1e-13.
-EMPTY_SLACK = 1e-13
-
-
 def _realization(lo: float, hi: float) -> Realization:
     return Realization(interval=Arc(norm1(lo), hi if hi < 1.0 else 0.0),
                        midpoint=norm1(0.5 * (lo + hi)))
@@ -314,22 +312,22 @@ def realize(model: MapModel, w: Word) -> Realization:
     k = w.depth
     if k == 0:
         raise EmptyWord("cannot realize the empty word")
-    reg = _region_interval(model, w.letters[k - 1])
+    table = _regions(model)
+    slack = _empty_slack(model)
+    reg = table[w.letters[k - 1]]
     if reg is None:
         raise EmptyCylinder(1)
-    lo, hi = reg
+    lo, hi = reg.lo, reg.hi
     for j in range(k - 2, -1, -1):
-        letter = w.letters[j]
-        reg = _region_interval(model, letter)
+        reg = table[w.letters[j]]
         if reg is None:
             raise EmptyCylinder(k - j)
-        ilo, ihi, off = _image_interval(model, letter)
-        nlo, nhi = max(lo, ilo), min(hi, ihi)
-        if nlo > nhi + EMPTY_SLACK:
+        nlo, nhi = max(lo, reg.ilo), min(hi, reg.ihi)
+        if nlo > nhi + slack:
             raise EmptyCylinder(k - j)
         nhi = max(nhi, nlo)
-        lo = _bisect_lift(model, _BRANCH[letter], nlo + off, *reg)
-        hi = _bisect_lift(model, _BRANCH[letter], nhi + off, *reg)
+        lo = _bisect_lift(model, reg.branch, nlo + reg.offset, reg.lo, reg.hi)
+        hi = _bisect_lift(model, reg.branch, nhi + reg.offset, reg.lo, reg.hi)
     return _realization(lo, hi)
 
 
@@ -349,18 +347,19 @@ def realize_many(model: MapModel, words) -> list[Realization]:
         raise EmptyWord("cannot realize the empty word")
     letters = np.array([w.letters for w in words], dtype=np.intp)
     n = len(words)
-    regions = [_region_interval(model, letter) for letter in Letter]
-    empty = np.array([reg is None for reg in regions])
-    rlo, rhi = np.array([reg or (0.0, 0.0) for reg in regions]).T
-    ilo, ihi, offset = np.array([_image_interval(model, letter) for letter in Letter]).T
-    branch = np.array(_BRANCH)
+    table = _regions(model)
+    slack = _empty_slack(model)
+    empty = np.array([reg is None for reg in table])
+    # an empty region's lanes have failed; their placeholder values are never read
+    rlo, rhi, ilo, ihi, offset, branch = np.array(
+        [reg or _Region(0.0, 0.0, 0.0, 0.0, 0.0, 1) for reg in table]).T
     # EmptyCylinder depth of each word, 0 while it is still realizable
     failed = np.where(empty[letters[:, -1]], 1, 0)
     lo, hi = rlo[letters[:, -1]], rhi[letters[:, -1]]
     for j in range(k - 2, -1, -1):
         cur = letters[:, j]
         nlo, nhi = np.maximum(lo, ilo[cur]), np.minimum(hi, ihi[cur])
-        failed[(failed == 0) & (empty[cur] | (nlo > nhi + EMPTY_SLACK))] = k - j
+        failed[(failed == 0) & (empty[cur] | (nlo > nhi + slack))] = k - j
         nhi = np.maximum(nhi, nlo)
         off = offset[cur]
         ends = bisect_increasing_np(

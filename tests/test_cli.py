@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from lorenzlab import atlas, cli
 from lorenzlab.errors import (
@@ -181,6 +187,7 @@ BAD_INPUTS = [
     ("classify", '{"model": {"alpha": Infinity}}', 2),
     ("classify", '{"model": {"alpha": true}}', 2),
     ("classify", '{"model": {"theta1": "0.1"}}', 2),
+    ("classify", '{"degree": {"family": []}}', 2),             # unhashable choice
     ("sweep", '{"sweep": {"workers": true}}', 2),
     ("path", '{"path": {"start": [NaN, 0.22]}}', 2),
     ("classify", None, 2),                                     # missing file
@@ -293,3 +300,66 @@ def test_cmd_degree(tmp_path):
         payload = json.loads((tmp_path / "degree.json").read_text())
         assert payload["determinant"] == det
         assert payload["essential"] == (det == 1)
+
+
+# JSON values the validators must sort out: bools, null, NaN and +-Infinity,
+# small numbers, strings (some of them valid letters or sides), lists and
+# objects.  Integers stay small so that no example asks for unbounded work.
+_scalars = st.one_of(
+    st.booleans(), st.none(), st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.integers(-3, 40), st.floats(-2.0, 2.0), st.floats(0.0, 1.0),
+    st.text(max_size=6), st.sampled_from(["A0 B0", "B1 A1 A0", "A0 A0", "+", "-"]))
+_values = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=2),
+    max_leaves=4)
+# a known key mostly gets a value of roughly the right kind, so that many
+# documents pass validation and reach the command
+_field_values = st.one_of(
+    st.floats(0.01, 0.99), st.floats(0.0, 0.19), st.integers(1, 12), st.sampled_from("+-"),
+    st.lists(st.sampled_from(["A0", "A1", "B0", "B1"]), min_size=1, max_size=6).map(" ".join),
+    _values)
+
+
+_FIELDS = [(section, key) for section in sorted(cli.SCHEMA) for key in cli.SCHEMA[section]]
+# the fields these commands read
+_READ_FIELDS = [(s, k) for s, k in _FIELDS if s in ("model", "engine", "itinerary", "word")]
+_SECTIONS = st.sampled_from(sorted(cli.SCHEMA) + ["bogus"])
+
+
+@st.composite
+def _config_docs(draw):
+    """An object setting up to three SCHEMA fields or unknown keys; one
+    document in sixteen is any JSON value, and one in sixteen also replaces
+    a whole section with one."""
+    shape = draw(st.integers(0, 15))
+    if shape == 0:
+        return draw(_values)
+    doc = {}
+    fields = st.one_of(st.sampled_from(_READ_FIELDS), st.sampled_from(_FIELDS),
+                       st.tuples(_SECTIONS, st.text(max_size=4)))
+    for section, key in draw(st.lists(fields, max_size=3)):
+        doc.setdefault(section, {})[key] = draw(_field_values)
+    if shape == 1:
+        doc[draw(_SECTIONS)] = draw(_values)
+    return doc
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(doc=_config_docs())
+@example(doc={"model": {"c_minus": 0.2}})                     # ExpansionTooWeak
+@example(doc={"model": {"alpha": 1e-9}, "word": {"letters": "B1 B1 A0"}})
+def test_main_fuzzed_config_exits_with_documented_code(doc):
+    # every command that reads these sections exits 0, 2, 3 or 4 on every
+    # document; a failure prints one stderr line and no traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        for command in ("classify", "itinerary", "kneading", "admissible", "realize"):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main([command, "--config", str(cfg), "--out", str(Path(tmp) / "out")])
+            assert code in (0, 2, 3, 4)
+            if code:
+                assert err.getvalue().count("\n") == 1 and "Traceback" not in err.getvalue()

@@ -185,6 +185,15 @@ def test_realize_empty_cylinder():
     assert err.value.depth == 2
 
 
+def test_realize_single_point_cylinder():
+    # the closed cylinder of "A1 B0 B0" on M0 is the point c-: the B0 B0
+    # cylinder starts at c- = q1, the end of the image of A1; its computed
+    # end overshoots q1 by the bisection error, which the slack absorbs
+    w = W("A1 B0 B0")
+    for r in (realize(M0, w), realize_many(M0, [w])[0]):
+        assert (r.interval.start, r.interval.end, r.midpoint) == (0.5, 0.5, 0.5)
+
+
 def test_realize_roundtrip():
     rng = np.random.default_rng(6)
     bound = 2.0 * M0.lambda_min ** -29
@@ -297,6 +306,22 @@ def test_realize_cusp_snapped_below_c_plus():
         assert circle_dist(r.midpoint, x) <= 2.0 ** -28
 
 
+@pytest.mark.parametrize("alpha, beta, c_minus", [
+    (1e-9, 0.3, 0.5), (5e-10, 0.3, 0.5), (0.6, 5e-10, 0.5), (0.0, 5e-10, 0.4375)])
+def test_realize_cusp_snapped_above_c_plus(alpha, beta, c_minus):
+    # a cusp lies within SNAP above c+, so itineraries read it as c+ (a* or
+    # b* is None) and the whole branch reads A0 (B0); realization must then
+    # map that region onto all of [0, 1], or the snapped orbits of c+ (for
+    # q1) and of c- (for q2) have no cylinder
+    m = M(alpha, beta, c_minus=c_minus)
+    assert None in (m.a_star, m.b_star)
+    bound = 2.0 * m.lambda_min ** -29 + SNAP
+    for x in (0.0, c_minus):
+        w = itinerary(m, SignedPoint(x, PLUS), 30)
+        for r in (realize(m, w), realize_many(m, [w])[0]):
+            assert circle_dist(r.midpoint, x) <= bound
+
+
 def test_realize_many_edge_batches():
     assert realize_many(M0, []) == []
     with pytest.raises(ValueError):
@@ -326,17 +351,25 @@ def test_np_sin_matches_math_sin_on_batch_lift_arguments(monkeypatch):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(model=random_models(), xs=st.lists(points, min_size=1, max_size=20))
 def test_realize_roundtrip_random_models(model, xs):
-    # realize(itinerary(x)) returns a depth-30 cylinder around x, and every
-    # itinerary passes the kneading-order admissibility check; a point
-    # snapped onto a cut within SNAP may sit up to SNAP outside its cylinder
+    # realize(itinerary(x)) returns a depth-30 cylinder around x, for random
+    # points and both sides of c+ and c-, and every itinerary passes the
+    # kneading-order admissibility check; a point snapped onto a cut within
+    # SNAP may sit up to SNAP outside its cylinder.  The realize_many lanes
+    # equal realize bit for bit.
     bound = 2.0 * model.lambda_min ** -29 + SNAP
     kd = kneading_data(model, 35)
-    for x in xs:
-        w = itinerary(model, SignedPoint(x, PLUS), 30)
+    sps = [SignedPoint(x, PLUS) for x in xs] + [
+        SignedPoint(x, side) for x in (0.0, model.c_minus) for side in (PLUS, MINUS)]
+    words, found = [], []
+    for sp in sps:
+        w = itinerary(model, sp, 30)
         assert is_admissible(w, kd, 30).admissible
         r = realize(model, w)
-        assert circle_dist(r.midpoint, x) <= bound
+        assert circle_dist(r.midpoint, sp.x) <= bound
         assert r.interval.length <= model.lambda_min ** -29
+        words.append(w)
+        found.append(_bits(r))
+    assert [_bits(r) for r in realize_many(model, words)] == found
 
 
 def test_self_conjugacy():
