@@ -241,18 +241,14 @@ def attractor_cloud(skew: SkewModel, depth: int, samples: int,
     return CloudResult(points=np.column_stack([px, py]), raster=img)
 
 
-def leaf_span_2d(skew: SkewModel, depth: int = 16, samples: int = 4000,
-                 burn_in: int = 80, seed: int = 11,
-                 seed_arc: Arc | None = None) -> Arc:
-    """Arc of x-fibers met by the depth-n attractor approximation.
+def leaf_span_2d(points: np.ndarray) -> Arc:
+    """Arc of x-fibers met by an attractor approximation.
 
-    Collects the x-coordinates of a burned-in orbit cloud and returns the
-    complement of the largest circular gap; a full circle is reported when no
-    gap reaches the resolution 1e-3.
+    Takes the (n, 2) ``points`` of an ``attractor_cloud`` and returns the
+    complement of the largest circular gap between their x-coordinates; a
+    full circle is reported when no gap reaches the resolution 1e-3.
     """
-    cloud = attractor_cloud(skew, depth=min(depth, 16), samples=samples,
-                            burn_in=burn_in, seed=seed, seed_arc=seed_arc)
-    xs = np.sort(np.unique(np.round(cloud.points[:, 0], 12)))
+    xs = np.unique(np.round(points[:, 0], 12))
     if xs.size < 2:
         return Arc.full_circle()
     gaps = np.diff(xs)

@@ -35,7 +35,6 @@ from .circle import Arc
 from .errors import (
     BudgetError,
     ConfigError,
-    MissingPaletteEntry,
     ParseError,
     PreconditionError,
     ValidationError,
@@ -253,17 +252,15 @@ PALETTE = {
 }
 
 
-def render_raster(grid: list[list[str]], palette: dict) -> bytes:
-    """Binary PPM (P6), one pixel per cell, rows emitted as given."""
-    height = len(grid)
-    width = len(grid[0]) if height else 0
-    body = bytearray()
-    for row in grid:
-        for label in row:
-            if label not in palette:
-                raise MissingPaletteEntry(label)
-            body.extend(palette[label])
-    return f"P6\n{width} {height}\n255\n".encode() + bytes(body)
+# one RGB row per index into atlas.STRATA
+_PALETTE_RGB = np.array([PALETTE[label] for label in atlas.STRATA], dtype=np.uint8)
+
+
+def render_raster(strata: np.ndarray) -> bytes:
+    """Binary PPM (P6), one pixel per cell of an array of indices into
+    atlas.STRATA, rows emitted as given."""
+    height, width = strata.shape
+    return f"P6\n{width} {height}\n255\n".encode() + _PALETTE_RGB[strata].tobytes()
 
 
 def render_pgm(img: np.ndarray) -> bytes:
@@ -279,10 +276,17 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _csv(header: list[str], rows: list[list]) -> bytes:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    return ("\n".join(lines) + "\n").encode()
+def _line(row) -> str:
+    return ",".join(_fmt(v) for v in row)
+
+
+def _csv(header: list[str], lines, values=None) -> bytes:
+    """CSV document from a header and formatted lines; with ``values`` the
+    lines are %-templates, filled from them in order in one pass."""
+    body = "\n".join(lines)
+    if values is not None:
+        body %= tuple(values)
+    return f"{','.join(header)}\n{body}\n".encode()
 
 
 def _json_report(payload: dict, config: Config) -> bytes:
@@ -303,11 +307,12 @@ def _arc_json(arc: Arc | None):
 
 
 def run_sweep(config: Config):
-    """Classify every grid cell; returns (rows, csv bytes, ppm bytes).
+    """Classify every grid cell; returns (strata, margins, csv bytes, ppm bytes).
 
-    Rows are emitted in row-major order over (beta, alpha); the raster top row
-    carries the maximal beta.  The grid is classified in one process by
-    ``classify_grid``; ``sweep.workers`` is accepted and ignored.
+    strata and margins are the (ny, nx) ``classify_grid`` arrays, row j at
+    the j-th beta.  CSV rows run in row-major order over (beta, alpha); the
+    raster top row carries the maximal beta.  The grid is classified in one
+    process; ``sweep.workers`` is accepted and ignored.
     """
     sw = config["sweep"]
     params = config.model_params()
@@ -318,13 +323,19 @@ def run_sweep(config: Config):
     betas = [b_lo + (b_hi - b_lo) * j / (ny - 1) for j in range(ny)]
     lambda_min = build_model(params).lambda_min
     strata, margins = classify_grid(params, alphas, betas)
-    labels = [[atlas.STRATA[k] for k in row] for row in strata.tolist()]
-    rows = [[a, b, label, atlas.STRATUM_DYNAMICS[label], m, lambda_min]
-            for b, label_row, margin_row in zip(betas, labels, margins.tolist())
-            for a, label, m in zip(alphas, label_row, margin_row)]
-    csv_bytes = _csv(["alpha", "beta", "stratum", "dynamics", "margin", "lambda_min"], rows)
-    ppm = render_raster(labels[::-1], PALETTE)
-    return rows, csv_bytes, ppm
+    # alpha and lambda_min are formatted into the row template once, beta once
+    # per grid row, stratum,dynamics once per stratum, the margin per cell
+    lam = f"{lambda_min:.12g}"
+    row = [f"{a:.12g},%s,%s,%.12g,{lam}" for a in alphas]
+    beta_texts = [f"{b:.12g}" for b in betas]
+    classes = [f"{label},{atlas.STRATUM_DYNAMICS[label]}" for label in atlas.STRATA]
+    cells = [None] * (3 * nx * ny)
+    cells[0::3] = [text for text in beta_texts for _ in range(nx)]
+    cells[1::3] = [classes[k] for k in strata.ravel().tolist()]
+    cells[2::3] = margins.ravel().tolist()
+    csv_bytes = _csv(["alpha", "beta", "stratum", "dynamics", "margin", "lambda_min"],
+                     row * ny, cells)
+    return strata, margins, csv_bytes, render_raster(strata[::-1])
 
 
 def run_path(config: Config):
@@ -354,7 +365,7 @@ def run_path(config: Config):
             jumps.append(k)
         prev_len = span.length
     csv_bytes = _csv(["step", "alpha", "beta", "stratum", "span_length",
-                      "span_full", "trap_margin"], rows)
+                      "span_full", "trap_margin"], map(_line, rows))
     report = {"jump_steps": jumps,
               "first_jump_step": jumps[0] if jumps else None,
               "jump_count": len(jumps)}
@@ -367,17 +378,18 @@ def run_histogram(config: Config):
     if h["orbit_length"] < h["bins"]:
         raise ValidationError("histogram.orbit_length", "must be >= bins")
     model = config.build_model()
+    f, on_discontinuity = model.f, model.on_discontinuity
     rng = np.random.default_rng(h["seed"])
     x = float(rng.uniform(0.0, 1.0))
     for _ in range(h["burn_in"]):
-        x = model.f(x if model.on_discontinuity(x) is None else x + 1e-9)
+        x = f(x if on_discontinuity(x) is None else x + 1e-9)
     samples = np.empty(h["orbit_length"])
     for i in range(h["orbit_length"]):
-        x = model.f(x if model.on_discontinuity(x) is None else x + 1e-9)
+        x = f(x if on_discontinuity(x) is None else x + 1e-9)
         samples[i] = x
     counts, edges = np.histogram(samples, bins=h["bins"], range=(0.0, 1.0))
     rows = [[i, edges[i], edges[i + 1], int(c)] for i, c in enumerate(counts)]
-    csv_bytes = _csv(["bin", "lo", "hi", "count"], rows)
+    csv_bytes = _csv(["bin", "lo", "hi", "count"], map(_line, rows))
     return rows, csv_bytes
 
 
@@ -502,11 +514,11 @@ def cmd_conjugacy(config: Config, out: Path) -> None:
                "monotone": result.monotone, "pairs": len(result.pairs)}
     (out / "conjugacy.json").write_bytes(_json_report(payload, config))
     (out / "conjugacy_pairs.csv").write_bytes(
-        _csv(["x", "h_x"], [[x, y] for x, y in result.pairs]))
+        _csv(["x", "h_x"], map(_line, result.pairs)))
 
 
 def cmd_sweep(config: Config, out: Path) -> None:
-    _, csv_bytes, ppm = run_sweep(config)
+    _, _, csv_bytes, ppm = run_sweep(config)
     (out / "sweep.csv").write_bytes(csv_bytes)
     (out / "sweep.ppm").write_bytes(ppm)
 
@@ -530,13 +542,12 @@ def cmd_attractor2d(config: Config, out: Path) -> None:
     cloud = attractor_cloud(skew, depth=cl["depth"], samples=cl["samples"],
                             burn_in=cl["burn_in"], seed=cl["seed"],
                             width=cl["width"], height=cl["height"])
-    span = leaf_span_2d(skew, depth=min(cl["depth"], 16), samples=cl["samples"],
-                        burn_in=cl["burn_in"], seed=cl["seed"])
+    points = cloud.points
     (out / "cloud.csv").write_bytes(
-        _csv(["x", "y"], [[float(x), float(y)] for x, y in cloud.points]))
+        _csv(["x", "y"], ["%.12g,%.12g"] * len(points), points.ravel().tolist()))
     (out / "cloud.pgm").write_bytes(render_pgm(cloud.raster))
     (out / "attractor2d.json").write_bytes(
-        _json_report({"leaf_span": _arc_json(span)}, config))
+        _json_report({"leaf_span": _arc_json(leaf_span_2d(points))}, config))
 
 
 def cmd_degree(config: Config, out: Path) -> None:

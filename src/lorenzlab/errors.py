@@ -116,9 +116,3 @@ class OnDiscontinuity(PreconditionError):
 
 class TrackingLost(PreconditionError):
     """Continuous tracking of a cusp along a parameter loop jumped too far."""
-
-
-class MissingPaletteEntry(ConfigError):
-    def __init__(self, label):
-        self.label = label
-        super().__init__(f"no palette color for label '{label}'")

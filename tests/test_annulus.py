@@ -153,12 +153,17 @@ def test_cloud_up_lorenz_avoids_lower_fiber():
 def test_leaf_span_agrees_with_1d():
     m = M(0.707, 0.30)
     sk = build_skew(m, 0.2)
-    span2 = leaf_span_2d(sk, depth=16, samples=4000, seed_arc=Arc(0.707, 0.72))
+    # the cloud leaf_span_2d used to sample itself (burn-in 80, seed 11)
+    cloud = attractor_cloud(sk, depth=16, samples=4000, burn_in=80, seed=11,
+                            seed_arc=Arc(0.707, 0.72))
+    span2 = leaf_span_2d(cloud.points)
+    assert span2 == Arc(0.70700601689, 0.299992176627)
     span1 = attractor_span(m)
     assert circle_dist(span2.start, span1.span.start) < 1e-3
     assert circle_dist(span2.end, span1.span.end) < 1e-3
     sk2 = build_skew(M(0.25, 0.75), 0.2)
-    assert leaf_span_2d(sk2, depth=12, samples=2000).full
+    cloud2 = attractor_cloud(sk2, depth=12, samples=2000, burn_in=80, seed=11)
+    assert leaf_span_2d(cloud2.points) == Arc.full_circle()
 
 
 def test_family_degree():

@@ -1,17 +1,18 @@
 import contextlib
+import csv
 import io
 import json
 import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lorenzlab import atlas, cli
 from lorenzlab.errors import (
     KneadingRecursionViolated,
-    MissingPaletteEntry,
     NotMarkov,
     ParseError,
     TrackingLost,
@@ -53,14 +54,23 @@ def test_parse_error():
         cli.load_config("{not json")
 
 
+def _sweep_rows(csv_bytes):
+    return list(csv.DictReader(io.StringIO(csv_bytes.decode())))
+
+
 def test_sweep_corners():
     cfg = load(sweep={"grid_nx": 2, "grid_ny": 2,
                       "alpha_range": [0.25, 0.707], "beta_range": [0.3, 0.75]})
-    rows, csv_bytes, ppm = cli.run_sweep(cfg)
-    by_ab = {(r[0], r[1]): (r[2], r[3]) for r in rows}
+    strata, margins, csv_bytes, ppm = cli.run_sweep(cfg)
+    rows = _sweep_rows(csv_bytes)
+    by_ab = {(float(r["alpha"]), float(r["beta"])): (r["stratum"], r["dynamics"])
+             for r in rows}
     assert by_ab[(0.25, 0.75)] == (atlas.O_MM, atlas.TWO_SIDED)
     assert by_ab[(0.25, 0.3)] == (atlas.O_MP, atlas.TWO_SIDED)
     assert by_ab[(0.707, 0.3)] == (atlas.O_PP_LPLUS, atlas.UP_LORENZ)
+    # the returned arrays are the CSV's cells, row j at the j-th beta
+    assert strata.shape == margins.shape == (2, 2)
+    assert [atlas.STRATA[k] for k in strata.ravel()] == [r["stratum"] for r in rows]
     assert csv_bytes.decode().splitlines()[0] == "alpha,beta,stratum,dynamics,margin,lambda_min"
     assert ppm.startswith(b"P6\n2 2\n255\n")
     assert len(ppm) == len(b"P6\n2 2\n255\n") + 12
@@ -69,28 +79,84 @@ def test_sweep_corners():
 def test_sweep_deterministic_and_worker_independent():
     spec = {"grid_nx": 8, "grid_ny": 6, "alpha_range": [0.1, 0.9],
             "beta_range": [0.1, 0.9]}
-    _, csv1, ppm1 = cli.run_sweep(load(sweep=spec))
-    _, csv2, ppm2 = cli.run_sweep(load(sweep=spec))
+    *_, csv1, ppm1 = cli.run_sweep(load(sweep=spec))
+    *_, csv2, ppm2 = cli.run_sweep(load(sweep=spec))
     assert csv1 == csv2 and ppm1 == ppm2
-    _, csv3, ppm3 = cli.run_sweep(load(sweep={**spec, "workers": 2}))
+    *_, csv3, ppm3 = cli.run_sweep(load(sweep={**spec, "workers": 2}))
     assert csv3 == csv1 and ppm3 == ppm1
 
 
 def test_sweep_rows_obey_verdict_table():
     cfg = load(sweep={"grid_nx": 16, "grid_ny": 16})
-    rows, _, _ = cli.run_sweep(cfg)
+    *_, csv_bytes, _ = cli.run_sweep(cfg)
+    rows = _sweep_rows(csv_bytes)
+    assert len(rows) == 256
     for r in rows:
-        assert atlas.STRATUM_DYNAMICS[r[2]] == r[3]
+        assert atlas.STRATUM_DYNAMICS[r["stratum"]] == r["dynamics"]
 
 
 def test_sweep_degenerate_band():
     cfg = load(model={"theta1": 0.0, "theta2": 0.0},
                sweep={"grid_nx": 9, "grid_ny": 9,
                       "alpha_range": [0.3, 0.7], "beta_range": [0.3, 0.7]})
-    rows, _, _ = cli.run_sweep(cfg)
+    *_, csv_bytes, _ = cli.run_sweep(cfg)
     # both fixed points exist on the diagonal only where alpha > 1/2
-    on_diag = [r for r in rows if abs(r[0] + r[1] - 1.0) < 1e-9 and r[0] > 0.5]
-    assert on_diag and all(r[2] == atlas.DEGENERATE for r in on_diag)
+    on_diag = [r for r in _sweep_rows(csv_bytes)
+               if abs(float(r["alpha"]) + float(r["beta"]) - 1.0) < 1e-9
+               and float(r["alpha"]) > 0.5]
+    assert on_diag and all(r["stratum"] == atlas.DEGENERATE for r in on_diag)
+
+
+def _row_wise_sweep(config):
+    """The sweep emitter as it was written row by row: every CSV field
+    through one ``_fmt`` call, every pixel through one palette lookup."""
+    def fmt(v):
+        if isinstance(v, bool):
+            return "1" if v else "0"
+        if isinstance(v, float):
+            return f"{v:.12g}"
+        return str(v)
+
+    sw = config["sweep"]
+    params = config.model_params()
+    nx, ny = sw["grid_nx"], sw["grid_ny"]
+    a_lo, a_hi = sw["alpha_range"]
+    b_lo, b_hi = sw["beta_range"]
+    alphas = [a_lo + (a_hi - a_lo) * i / (nx - 1) for i in range(nx)]
+    betas = [b_lo + (b_hi - b_lo) * j / (ny - 1) for j in range(ny)]
+    lambda_min = config.build_model().lambda_min
+    strata, margins = atlas.classify_grid(params, alphas, betas)
+    labels = [[atlas.STRATA[k] for k in row] for row in strata.tolist()]
+    rows = [[a, b, label, atlas.STRATUM_DYNAMICS[label], m, lambda_min]
+            for b, label_row, margin_row in zip(betas, labels, margins.tolist())
+            for a, label, m in zip(alphas, label_row, margin_row)]
+    lines = ["alpha,beta,stratum,dynamics,margin,lambda_min"]
+    lines.extend(",".join(fmt(v) for v in row) for row in rows)
+    body = bytearray()
+    for row in labels[::-1]:
+        for label in row:
+            body.extend(cli.PALETTE[label])
+    ppm = f"P6\n{nx} {ny}\n255\n".encode() + bytes(body)
+    return ("\n".join(lines) + "\n").encode(), ppm
+
+
+@pytest.mark.parametrize("doc", [
+    # wrapped ranges: alpha runs past both ends of the circle, beta downwards
+    {"model": {"c_minus": 0.45},
+     "sweep": {"grid_nx": 37, "grid_ny": 23,
+               "alpha_range": [-1.3, 2.1], "beta_range": [1.9, -0.4]}},
+    # theta1 = theta2 = 0: the degenerate band on the diagonal
+    {"model": {"theta1": 0.0, "theta2": 0.0},
+     "sweep": {"grid_nx": 9, "grid_ny": 9,
+               "alpha_range": [0.3, 0.7], "beta_range": [0.3, 0.7]}},
+    {"sweep": {"grid_nx": 2, "grid_ny": 2}},
+], ids=["wrapped", "degenerate", "2x2"])
+def test_sweep_emitters_match_row_wise_oracle(doc):
+    cfg = load(doc)
+    *_, csv_bytes, ppm = cli.run_sweep(cfg)
+    want_csv, want_ppm = _row_wise_sweep(cfg)
+    assert csv_bytes == want_csv
+    assert ppm == want_ppm
 
 
 def test_path_collision_detector_fires_once():
@@ -149,15 +215,13 @@ def test_histogram_orbit_shorter_than_bins():
 
 
 def test_render_raster():
-    one = cli.render_raster([[atlas.TWO_SIDED]],
-                            {atlas.TWO_SIDED: (10, 20, 30)})
-    assert one == b"P6\n1 1\n255\n" + bytes([10, 20, 30])
-    grid = [["a", "b"], ["c", "d"]]
-    palette = {k: (i, i, i) for i, k in enumerate("abcd")}
-    out = cli.render_raster(grid, palette)
-    assert out.endswith(bytes([0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3]))
-    with pytest.raises(MissingPaletteEntry):
-        cli.render_raster([["nope"]], palette)
+    def rgb(*ks):
+        return b"".join(bytes(cli.PALETTE[atlas.STRATA[k]]) for k in ks)
+
+    one = cli.render_raster(np.array([[3]]))
+    assert one == b"P6\n1 1\n255\n" + rgb(3)
+    out = cli.render_raster(np.array([[0, 1, 2], [15, 4, 5]]))
+    assert out == b"P6\n3 2\n255\n" + rgb(0, 1, 2, 15, 4, 5)
 
 
 def test_palette_covers_all_strata():

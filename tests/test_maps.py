@@ -1,10 +1,11 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from lorenzlab.circle import circle_dist
+from lorenzlab.circle import circle_dist, norm1
 from lorenzlab.errors import (
     AtDiscontinuity,
     DegenerateArc,
@@ -14,6 +15,7 @@ from lorenzlab.errors import (
 from lorenzlab.maps import (
     PHI,
     ROOT_TOL,
+    SNAP,
     PLUS,
     MINUS,
     BranchProfile,
@@ -32,6 +34,7 @@ from lorenzlab.maps import (
     lift_np,
     verify_hypotheses,
 )
+from test_symbolic import random_models
 
 
 def M(alpha, beta, **kw):
@@ -274,3 +277,61 @@ def test_sides_agree_off_boundaries():
         if wp.letters == wm.letters:
             count += 1
     assert count >= 199  # boundary orbits have measure zero
+
+
+@st.composite
+def step_models(draw):
+    """The random models of the realize round trip, with each cusp moved
+    within SNAP of c- (either side) on some draws."""
+    model = draw(random_models())
+    c = model.c_minus
+    cusp = st.sampled_from([None, c - 0.5 * SNAP, c + 0.5 * SNAP])
+    alpha, beta = draw(cusp), draw(cusp)
+    return build_model(dataclasses.replace(
+        model.params,
+        alpha=model.params.alpha if alpha is None else alpha,
+        beta=model.params.beta if beta is None else beta))
+
+
+def _reference_f(model, x):
+    return norm1(model.lift(model.branch_of(x), x))
+
+
+def _reference_on_discontinuity(model, x):
+    for p in (0.0, model.c_minus):
+        if circle_dist(x, p) <= SNAP:
+            return p
+    return None
+
+
+def _edge_points(model):
+    """0, c-, the largest float below 1, points SNAP from each discontinuity
+    with their float neighbours, points within SNAP on both sides, and all of
+    these nudged by 1e-9 (some land at or above 1).  -SNAP is the point whose
+    circle distance to 0 is SNAP exactly, the tie that ``<=`` decides."""
+    c = model.c_minus
+    xs = [0.0, c, 1.0 - 2.0 ** -53, -SNAP]
+    for x in (SNAP, 1.0 - SNAP, c - SNAP, c + SNAP):
+        xs += [x, math.nextafter(x, 0.0), math.nextafter(x, 1.0)]
+    xs += [0.5 * SNAP, 1.0 - 0.5 * SNAP, c - 0.5 * SNAP, c + 0.5 * SNAP]
+    return xs + [x + 1e-9 for x in xs]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(model=step_models(), xs=st.lists(st.floats(0.0, 1.0, exclude_max=True),
+                                        min_size=1, max_size=10))
+def test_scalar_step_matches_lift_reference(model, xs):
+    # MapModel.f and on_discontinuity inline lift/norm1 and circle_dist;
+    # both must equal those references bit for bit, on the discontinuities,
+    # within and exactly at SNAP of them, and on nudged points at or above 1
+    for x in _edge_points(model) + xs:
+        assert model.f(x).hex() == _reference_f(model, x).hex(), x
+        assert model.on_discontinuity(x) == _reference_on_discontinuity(model, x), x
+    # a 2,000-step nudged orbit, as the histogram runs it
+    x = y = xs[0]
+    for _ in range(2000):
+        x = model.f(x if model.on_discontinuity(x) is None else x + 1e-9)
+        if _reference_on_discontinuity(model, y) is not None:
+            y += 1e-9
+        y = _reference_f(model, y)
+        assert x.hex() == y.hex()
