@@ -37,15 +37,6 @@ class SkewModel:
     eta1: float = 0.0
     eta2: float = 0.0
 
-    def _branch_data(self, x: float):
-        if x < self.base.c_minus:
-            return 1, x, self.base.profile1.length, self.eta1
-        return 2, x - self.base.c_minus, self.base.profile2.length, self.eta2
-
-    def rho(self, x: float) -> float:
-        _, t, L, _ = self._branch_data(x)
-        return math.sin(math.pi * t / L)
-
     def cone_bound(self) -> float:
         """Conservative analytic bound on the cone contraction factor."""
         min_L = min(self.base.profile1.length, self.base.profile2.length)
@@ -69,10 +60,14 @@ def build_skew(base: MapModel, kappa: float = 0.2, eta1: float = 0.0,
 
 def apply_skew(skew: SkewModel, p: tuple[float, float]) -> tuple[float, float]:
     x, y = norm1(p[0]), p[1]
-    if skew.base.on_discontinuity(x) is not None:
+    base = skew.base
+    if base.on_discontinuity(x) is not None:
         raise OnDiscontinuity(f"x={x} is on a discontinuity")
-    _, t, L, eta = skew._branch_data(x)
-    return (skew.base.f(x), eta + skew.kappa * math.sin(math.pi * t / L) * y)
+    if x < base.c_minus:
+        t, L, eta = x, base.profile1.length, skew.eta1
+    else:
+        t, L, eta = x - base.c_minus, base.profile2.length, skew.eta2
+    return (base.f(x), eta + skew.kappa * math.sin(math.pi * t / L) * y)
 
 
 def _pinch_terms(base: MapModel, x):
@@ -268,12 +263,15 @@ def leaf_span_2d(points: np.ndarray) -> Arc:
 @dataclass
 class DegreeMatrix:
     entries: tuple[tuple[int, int], tuple[int, int]]
-    essential: bool
 
     @property
     def determinant(self) -> int:
         (a, b), (c, d) = self.entries
         return a * d - b * c
+
+    @property
+    def essential(self) -> bool:
+        return self.determinant == 1
 
 
 def family_degree(family, step: float = 1e-3) -> DegreeMatrix:
@@ -308,6 +306,4 @@ def family_degree(family, step: float = 1e-3) -> DegreeMatrix:
                 raise TrackingLost(
                     f"non-integer winding {total:.4f} for cusp {k + 1}")
             entries[k][j] = int(round(total))
-    matrix = (tuple(entries[0]), tuple(entries[1]))
-    det = matrix[0][0] * matrix[1][1] - matrix[0][1] * matrix[1][0]
-    return DegreeMatrix(entries=matrix, essential=(det == 1))
+    return DegreeMatrix(entries=(tuple(entries[0]), tuple(entries[1])))

@@ -170,7 +170,8 @@ SCHEMA = {
     },
     "degree": {
         "family": ("rotation", _choice({"rotation", "constant", "swapped"})),
-        "step": (1e-3, _number(lambda v: 0 < v <= 0.1, "must lie in (0, 0.1]")),
+        # 1e-5 caps family_degree at 2 x 100,001 model builds
+        "step": (1e-3, _number(lambda v: 1e-5 <= v <= 0.1, "must lie in [1e-5, 0.1]")),
     },
     "eigenvalues": {
         # default spectrum is Lorenz-like and non-resonant up to N = 5
@@ -191,10 +192,7 @@ class Config:
         return self.sections[key]
 
     def model_params(self) -> ModelParams:
-        m = self.sections["model"]
-        return ModelParams(alpha=m["alpha"], beta=m["beta"], c_minus=m["c_minus"],
-                           theta1=m["theta1"], theta2=m["theta2"],
-                           lambda_min_required=m["lambda_min_required"])
+        return ModelParams(**self.sections["model"])
 
     def build_model(self) -> MapModel:
         return build_model(self.model_params())
@@ -289,17 +287,18 @@ def _csv(header: list[str], lines, values=None) -> bytes:
     return f"{','.join(header)}\n{body}\n".encode()
 
 
-def _json_report(payload: dict, config: Config) -> bytes:
-    payload = dict(payload)
-    payload["config"] = config.echo()
-    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
-
-
-def _arc_json(arc: Arc | None):
-    if arc is None:
-        return None
+def _arc_json(arc):
+    """``json.dumps`` hook: an Arc becomes its endpoints, fullness and length."""
+    if not isinstance(arc, Arc):
+        raise TypeError(f"{type(arc).__name__} is not JSON serializable")
     return {"start": arc.start, "end": arc.end, "full": arc.full,
             "length": arc.length}
+
+
+def _json_report(payload: dict, config: Config) -> bytes:
+    payload = {**payload, "config": config.echo()}
+    return (json.dumps(payload, indent=2, sort_keys=True, default=_arc_json)
+            + "\n").encode()
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +320,9 @@ def run_sweep(config: Config):
     b_lo, b_hi = sw["beta_range"]
     alphas = [a_lo + (a_hi - a_lo) * i / (nx - 1) for i in range(nx)]
     betas = [b_lo + (b_hi - b_lo) * j / (ny - 1) for j in range(ny)]
+    for field, values in (("sweep.alpha_range", alphas), ("sweep.beta_range", betas)):
+        if not all(map(math.isfinite, values)):
+            raise ValidationError(field, "grid values overflow; narrow the range")
     lambda_min = build_model(params).lambda_min
     strata, margins = classify_grid(params, alphas, betas)
     # alpha and lambda_min are formatted into the row template once, beta once
@@ -349,6 +351,8 @@ def run_path(config: Config):
     params = config.model_params()
     steps = pt["steps"]
     (a0, b0), (a1, b1) = pt["start"], pt["end"]
+    if not (math.isfinite(a1 - a0) and math.isfinite(b1 - b0)):
+        raise ValidationError("path.end", "span from path.start overflows")
     rows = []
     jumps = []
     prev_len = None
@@ -408,7 +412,8 @@ def _degree_family(config: Config):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns {file name: payload}, where a dict is a JSON report
+# and bytes are written as they are; ``main`` writes them all
 
 
 def _word_from_config(config: Config) -> Word:
@@ -418,144 +423,111 @@ def _word_from_config(config: Config) -> Word:
         raise ValidationError("word.letters", f"unknown letter {exc}") from exc
 
 
-def cmd_verify(config: Config, out: Path) -> None:
+def cmd_verify(config: Config) -> dict:
     model = config.build_model()
     rep = verify_hypotheses(model)
-    payload = {
-        "hypotheses": {
-            "wrap_ok": rep.wrap_ok, "monotone_ok": rep.monotone_ok,
-            "expansion_ok": rep.expansion_ok, "pinch_ok": rep.pinch_ok,
-            "all_ok": rep.all_ok, "lambda_min": rep.lambda_min,
-            "lambda_required": rep.lambda_required, "failures": rep.failures,
-        },
-    }
-    skew = build_skew(model, config["skew"]["kappa"], config["skew"]["eta1"],
-                      config["skew"]["eta2"])
-    cones = verify_cones(skew, grid_x=200, grid_y=20)
-    payload["cones"] = {
-        "analytic_bound": cones.analytic_cone_bound,
-        "worst_cone_factor": cones.worst_cone_factor,
-        "min_expansion": cones.min_expansion,
-        "worst_product": cones.worst_product,
-        "all_ok": cones.all_ok,
-    }
+    cones = verify_cones(build_skew(model, **config["skew"]), grid_x=200, grid_y=20)
     e = config["eigenvalues"]
     sing = check_singularity_conditions(
         EigenvalueTriple(e["lambda_ss"], e["lambda_s"], e["lambda_u"]),
         N=e["N"], tol=e["tol"])
-    payload["singularity"] = {
-        "lorenz_like": sing.lorenz_like,
-        "non_resonant": sing.non_resonant,
-        "resonances": [{"m": list(m), "lambda_index": i, "value": val}
-                       for m, i, val in sing.resonances],
-    }
-    (out / "verify.json").write_bytes(_json_report(payload, config))
+    return {"verify.json": {
+        "hypotheses": {**vars(rep), "all_ok": rep.all_ok},
+        "cones": {"analytic_bound": cones.analytic_cone_bound,
+                  "worst_cone_factor": cones.worst_cone_factor,
+                  "min_expansion": cones.min_expansion,
+                  "worst_product": cones.worst_product, "all_ok": cones.all_ok},
+        "singularity": {"lorenz_like": sing.lorenz_like, "non_resonant": sing.non_resonant,
+                        "resonances": [{"m": list(m), "lambda_index": i, "value": val}
+                                       for m, i, val in sing.resonances]},
+    }}
 
 
-def cmd_classify(config: Config, out: Path) -> None:
+def cmd_classify(config: Config) -> dict:
     model = config.build_model()
-    v = classify(model)
-    payload = {"stratum": v.stratum, "dynamics": v.dynamics, "margin": v.margin,
-               "p1": v.p1, "p2": v.p2,
-               "sigma_plus": _arc_json(v.sigma_plus),
-               "sigma_minus": _arc_json(v.sigma_minus),
-               "lambda_min": model.lambda_min}
-    (out / "classify.json").write_bytes(_json_report(payload, config))
+    return {"classify.json": {**vars(classify(model)), "lambda_min": model.lambda_min}}
 
 
-def cmd_kneading(config: Config, out: Path) -> None:
-    model = config.build_model()
-    kd = kneading_data(model, config["engine"]["depth"])
-    payload = {"depth": kd.depth,
-               "words": {name: str(w) for name, w in kd.words()}}
-    (out / "kneading.json").write_bytes(_json_report(payload, config))
+def cmd_kneading(config: Config) -> dict:
+    kd = kneading_data(config.build_model(), config["engine"]["depth"])
+    return {"kneading.json": {"depth": kd.depth,
+                              "words": {name: str(w) for name, w in kd.words()}}}
 
 
-def cmd_itinerary(config: Config, out: Path) -> None:
-    model = config.build_model()
+def cmd_itinerary(config: Config) -> dict:
     it = config["itinerary"]
     side = PLUS if it["side"] == "+" else MINUS
-    word = itinerary(model, SignedPoint(it["x"], side), config["engine"]["depth"])
-    payload = {"x": it["x"], "side": it["side"], "word": str(word)}
-    (out / "itinerary.json").write_bytes(_json_report(payload, config))
+    word = itinerary(config.build_model(), SignedPoint(it["x"], side),
+                     config["engine"]["depth"])
+    return {"itinerary.json": {"x": it["x"], "side": it["side"], "word": str(word)}}
 
 
-def cmd_admissible(config: Config, out: Path) -> None:
+def cmd_admissible(config: Config) -> dict:
     model = config.build_model()
     word = _word_from_config(config)
     kd = kneading_data(model, max(config["engine"]["depth"], word.depth))
     verdict = is_admissible(word, kd)
-    payload = {"word": str(word),
-               "admissible_to_depth": verdict.admissible_to_depth,
-               "admissible": verdict.admissible,
-               "rejection": (None if verdict.rejection is None else
-                             {"index": verdict.rejection[0],
-                              "condition": verdict.rejection[1]})}
-    (out / "admissible.json").write_bytes(_json_report(payload, config))
+    return {"admissible.json": {
+        "word": str(word),
+        "admissible_to_depth": verdict.admissible_to_depth,
+        "admissible": verdict.admissible,
+        "rejection": (None if verdict.rejection is None else
+                      {"index": verdict.rejection[0],
+                       "condition": verdict.rejection[1]})}}
 
 
-def cmd_realize(config: Config, out: Path) -> None:
+def cmd_realize(config: Config) -> dict:
     model = config.build_model()
     word = _word_from_config(config)
-    r = realize(model, word)
-    payload = {"word": str(word), "interval": _arc_json(r.interval),
-               "midpoint": r.midpoint}
-    (out / "realize.json").write_bytes(_json_report(payload, config))
+    return {"realize.json": {"word": str(word), **vars(realize(model, word))}}
 
 
-def cmd_conjugacy(config: Config, out: Path) -> None:
+def cmd_conjugacy(config: Config) -> dict:
     model = config.build_model()
     cj = config["conjugacy"]
     other = shoot_matched_model(model, cj["theta1_other"], cj["match_depth"])
     result = build_conjugacy(model, other, cj["match_depth"], cj["grid"])
-    payload = {"other_alpha": other.params.alpha, "other_beta": other.params.beta,
-               "other_theta1": other.params.theta1,
-               "defect": result.defect, "interp_defect": result.interp_defect,
-               "monotone": result.monotone, "pairs": len(result.pairs)}
-    (out / "conjugacy.json").write_bytes(_json_report(payload, config))
-    (out / "conjugacy_pairs.csv").write_bytes(
-        _csv(["x", "h_x"], map(_line, result.pairs)))
+    return {
+        "conjugacy.json": {
+            "other_alpha": other.params.alpha, "other_beta": other.params.beta,
+            "other_theta1": other.params.theta1,
+            "defect": result.defect, "interp_defect": result.interp_defect,
+            "monotone": result.monotone, "pairs": len(result.pairs)},
+        "conjugacy_pairs.csv": _csv(["x", "h_x"], map(_line, result.pairs)),
+    }
 
 
-def cmd_sweep(config: Config, out: Path) -> None:
+def cmd_sweep(config: Config) -> dict:
     _, _, csv_bytes, ppm = run_sweep(config)
-    (out / "sweep.csv").write_bytes(csv_bytes)
-    (out / "sweep.ppm").write_bytes(ppm)
+    return {"sweep.csv": csv_bytes, "sweep.ppm": ppm}
 
 
-def cmd_path(config: Config, out: Path) -> None:
+def cmd_path(config: Config) -> dict:
     _, csv_bytes, report = run_path(config)
-    (out / "path.csv").write_bytes(csv_bytes)
-    (out / "path_report.json").write_bytes(_json_report(report, config))
+    return {"path.csv": csv_bytes, "path_report.json": report}
 
 
-def cmd_histogram(config: Config, out: Path) -> None:
+def cmd_histogram(config: Config) -> dict:
     _, csv_bytes = run_histogram(config)
-    (out / "histogram.csv").write_bytes(csv_bytes)
+    return {"histogram.csv": csv_bytes}
 
 
-def cmd_attractor2d(config: Config, out: Path) -> None:
-    model = config.build_model()
-    skew = build_skew(model, config["skew"]["kappa"], config["skew"]["eta1"],
-                      config["skew"]["eta2"])
-    cl = config["cloud"]
-    cloud = attractor_cloud(skew, depth=cl["depth"], samples=cl["samples"],
-                            burn_in=cl["burn_in"], seed=cl["seed"],
-                            width=cl["width"], height=cl["height"])
+def cmd_attractor2d(config: Config) -> dict:
+    skew = build_skew(config.build_model(), **config["skew"])
+    cloud = attractor_cloud(skew, **config["cloud"])
     points = cloud.points
-    (out / "cloud.csv").write_bytes(
-        _csv(["x", "y"], ["%.12g,%.12g"] * len(points), points.ravel().tolist()))
-    (out / "cloud.pgm").write_bytes(render_pgm(cloud.raster))
-    (out / "attractor2d.json").write_bytes(
-        _json_report({"leaf_span": _arc_json(leaf_span_2d(points))}, config))
+    return {
+        "cloud.csv": _csv(["x", "y"], ["%.12g,%.12g"] * len(points),
+                          points.ravel().tolist()),
+        "cloud.pgm": render_pgm(cloud.raster),
+        "attractor2d.json": {"leaf_span": leaf_span_2d(points)},
+    }
 
 
-def cmd_degree(config: Config, out: Path) -> None:
-    family = _degree_family(config)
-    deg = family_degree(family, step=config["degree"]["step"])
-    payload = {"matrix": [list(r) for r in deg.entries],
-               "determinant": deg.determinant, "essential": deg.essential}
-    (out / "degree.json").write_bytes(_json_report(payload, config))
+def cmd_degree(config: Config) -> dict:
+    deg = family_degree(_degree_family(config), step=config["degree"]["step"])
+    return {"degree.json": {"matrix": [list(r) for r in deg.entries],
+                            "determinant": deg.determinant, "essential": deg.essential}}
 
 
 COMMANDS = {
@@ -597,7 +569,10 @@ def main(argv=None) -> int:
     try:
         config = load_config(_read_config(args.config))
         args.out.mkdir(parents=True, exist_ok=True)
-        COMMANDS[args.command](config, args.out)
+        for name, payload in COMMANDS[args.command](config).items():
+            if isinstance(payload, dict):
+                payload = _json_report(payload, config)
+            (args.out / name).write_bytes(payload)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -61,21 +61,32 @@ def test_fiber_contraction():
         assert abs(fy1 - fy2) <= SK.kappa * abs(y1 - y2) + 1e-15
 
 
+def _fiber_diameter(x):
+    _, top = apply_skew(SK, (x, 1.0))
+    _, bot = apply_skew(SK, (x, -1.0))
+    return abs(top - bot)
+
+
 def test_pinch_geometry():
-    # y-diameter of the image fiber equals 2*kappa*rho(t) exactly
+    # y-diameter of the image fiber equals 2*kappa*sin(pi t / L) exactly,
+    # with t the offset of x into its branch of length L
     rng = np.random.default_rng(1)
     for _ in range(1000):
         x = rng.uniform(1e-3, 1 - 1e-3)
         if abs(x - 0.5) < 1e-3:
             continue
-        _, top = apply_skew(SK, (x, 1.0))
-        _, bot = apply_skew(SK, (x, -1.0))
-        assert abs(top - bot) == pytest.approx(2 * SK.kappa * SK.rho(x), abs=1e-12)
+        if x < M0.c_minus:
+            t, L = x, M0.profile1.length
+        else:
+            t, L = x - M0.c_minus, M0.profile2.length
+        assert _fiber_diameter(x) == pytest.approx(
+            2 * SK.kappa * np.sin(np.pi * t / L), abs=1e-12)
 
 
 def test_pinch_limit():
+    # the fiber pinches to a point at the branch start: sin(pi t / L) < pi t / L
     for eps in (1e-3, 1e-6):
-        assert SK.rho(eps) < np.pi * eps / 0.5 + 1e-12
+        assert _fiber_diameter(eps) / (2 * SK.kappa) < np.pi * eps / 0.5 + 1e-12
 
 
 def test_quotient_commutation():

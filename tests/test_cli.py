@@ -254,6 +254,12 @@ BAD_INPUTS = [
     ("classify", '{"degree": {"family": []}}', 2),             # unhashable choice
     ("sweep", '{"sweep": {"workers": true}}', 2),
     ("path", '{"path": {"start": [NaN, 0.22]}}', 2),
+    # finite ends whose difference overflows
+    ("path", '{"path": {"start": [1.7e308, 0.22], "end": [-1.7e308, 0.22]}}', 2),
+    ("sweep", '{"sweep": {"alpha_range": [-1.7e308, 1.7e308]}}', 2),
+    # a finite span whose grid steps overflow
+    ("sweep", '{"sweep": {"beta_range": [0, 1.7e308], "grid_ny": 3}}', 2),
+    ("degree", '{"degree": {"step": 1e-300}}', 2),             # would loop ~1e300 times
     ("classify", None, 2),                                     # missing file
     ("classify", b"\xff\xfe{}", 2),                           # not UTF-8
     ("classify --out cfg.json/sub", "{}", 2),                  # --out under a file
@@ -282,12 +288,21 @@ def test_main_bad_input_exits_cleanly(command, text, code, tmp_path, capsys,
                                  KneadingRecursionViolated("w_mp", "A1", "B0")])
 def test_main_certificate_failures_exit_3(exc, tmp_path, capsys, monkeypatch):
     # none of these errors is reachable from a config today; main still maps them
-    def fail(config, out):
+    def fail(config):
         raise exc
 
     monkeypatch.setitem(cli.COMMANDS, "classify", fail)
     assert cli.main(["classify", "--out", str(tmp_path)]) == 3
     assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_main_unwritable_report_exits_2(tmp_path, capsys):
+    # the report's name is taken by a directory: the write fails, not the command
+    (tmp_path / "classify.json").mkdir()
+    assert cli.main(["classify", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "classify.json" in err
 
 
 def test_main_kneading_cusp_just_off_c_plus(tmp_path):
