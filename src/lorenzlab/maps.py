@@ -169,6 +169,14 @@ class MapModel:
             return self.c_minus
         return None
 
+    def on_discontinuity_np(self, x):
+        """Lane-wise ``on_discontinuity``: the masks of the lanes within SNAP
+        of c+ and of those within SNAP of c-."""
+        d = (0.0 - x) % 1.0
+        plus = (d <= SNAP) | (1.0 - d <= SNAP)
+        d = (self.c_minus - x) % 1.0
+        return plus, (d <= SNAP) | (1.0 - d <= SNAP)
+
 
 def bisect_increasing(fn, target: float, lo: float, hi: float,
                       tol: float = 0.0) -> float:
@@ -270,7 +278,7 @@ def build_model(params: ModelParams) -> MapModel:
     lambda_min = min(prof1.min_slope, prof2.min_slope)
     if lambda_min <= params.lambda_min_required:
         raise ExpansionTooWeak(
-            f"minimal slope {lambda_min:.6f} <= required {params.lambda_min_required:.6f}")
+            f"minimal slope {lambda_min:.6g} <= required {params.lambda_min_required:.6g}")
     q1, q2 = norm1(params.alpha), norm1(params.beta)
     return MapModel(
         params=params, c_minus=c, q1=q1, q2=q2,
@@ -392,7 +400,7 @@ def verify_hypotheses(model: MapModel) -> HypothesesReport:
     expansion_ok = model.lambda_min > model.params.lambda_min_required
     if not expansion_ok:
         failures.append(
-            f"lambda_min={model.lambda_min:.6f} <= {model.params.lambda_min_required:.6f}")
+            f"lambda_min={model.lambda_min:.6g} <= {model.params.lambda_min_required:.6g}")
 
     # one-sided limits at the endpoints of each branch arc pinch to the cusps
     pinch_pairs = [

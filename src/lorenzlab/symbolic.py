@@ -18,14 +18,13 @@ with epsilon offsets, so boundary itineraries are exact.
 
 from __future__ import annotations
 
-import bisect
 import enum
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .circle import Arc, circle_dist, norm1
+from .circle import Arc, circle_dist, circle_dist_np, norm1
 from .errors import EmptyCylinder, EmptyWord, KneadingMismatch, KneadingRecursionViolated
 from .maps import (
     MINUS,
@@ -194,6 +193,35 @@ def itinerary(model: MapModel, sp: SignedPoint, depth: int) -> Word:
         letters.append(_letter_of(cuts, cur))
         cur = eval_signed(model, cur)
     return Word(tuple(letters))
+
+
+def itinerary_many(model: MapModel, xs, side: int, depth: int) -> list[Word]:
+    """``itinerary`` of a batch of points on one side, one numpy lane per point.
+
+    Steps every lane with ``f_np``, or with the ``eval_signed`` automaton
+    where a lane sits within SNAP of a discontinuity.  Letters follow
+    ``_letter_of``: a lane within SNAP of a region's lower end reads the
+    region after the nearest such cut (side +) or before it (side -), and
+    any other lane reads the region that holds it.  Each word equals
+    ``itinerary`` of its signed point while ``f_np`` equals ``model.f``,
+    that is, while ``np.sin`` equals ``math.sin`` on the profile arguments.
+    """
+    table = _regions(model)
+    letters = [letter for letter, r in zip(Letter, table) if r is not None]
+    lows = np.array([table[letter].lo for letter in letters])
+    from_plus, from_minus = (model.q1, model.q2) if side == PLUS else (model.q2, model.q1)
+    # a lane % 1.0 leaves at 1.0 (norm1 gives 0.0) reads and steps as c+
+    x = np.asarray(xs, dtype=float) % 1.0
+    out = np.empty((depth, x.size), dtype=np.intp)
+    for k in range(depth):
+        dists = circle_dist_np(x[:, None], lows)
+        nearest = dists.argmin(axis=1)
+        out[k] = np.where(dists.min(axis=1) <= SNAP,
+                          nearest if side == PLUS else nearest - 1,
+                          np.searchsorted(lows, x, "right") - 1)
+        at_plus, at_minus = model.on_discontinuity_np(x)
+        x = np.where(at_plus, from_plus, np.where(at_minus, from_minus, model.f_np(x)))
+    return [Word(tuple(letters[i] for i in row)) for row in out.T.tolist()]
 
 
 @dataclass(frozen=True)
@@ -382,16 +410,21 @@ class ConjugacyResult:
     monotone: bool
 
 
-def _interp_h(pairs, knots, x):
-    """Piecewise-linear circle interpolation through monotone pairs; knots
-    holds the pairs' abscissae."""
-    i = bisect.bisect_right(knots, x) - 1
-    x0, y0 = pairs[i]
-    x1, y1 = pairs[(i + 1) % len(pairs)]
-    dx = (x1 - x0) % 1.0 or 1.0
-    dy = (y1 - y0) % 1.0
-    t = ((x - x0) % 1.0) / dx
-    return norm1(y0 + t * dy)
+def _interpolation(pairs):
+    """Piecewise-linear circle interpolation through monotone pairs sorted by
+    abscissa, as a lane-wise function.  A point x in [x0, x1) maps to
+    y0 + t * dy with t = ((x - x0) mod 1) / dx, where dx and dy are the ccw
+    steps to the next pair (dx = 1 for a single pair)."""
+    kx, ky = np.array(pairs).T
+    dx = (np.roll(kx, -1) - kx) % 1.0
+    dx[dx == 0.0] = 1.0
+    dy = (np.roll(ky, -1) - ky) % 1.0
+
+    def h(z):
+        # the sum is never negative, so % 1.0 equals norm1 on it
+        i = np.searchsorted(kx, z, "right") - 1
+        return (ky[i] + ((z - kx[i]) % 1.0) / dx[i] * dy[i]) % 1.0
+    return h
 
 
 def build_conjugacy(mx: MapModel, my: MapModel, depth: int, grid: int) -> ConjugacyResult:
@@ -403,8 +436,10 @@ def build_conjugacy(mx: MapModel, my: MapModel, depth: int, grid: int) -> Conjug
     defect is measured exactly through the same cylinder construction, as
     the largest distance between H(f x) and g(h x) (dominated by cylinder
     diameters), and once more through the interpolated h on a 10x finer
-    probe grid as a diagnostic.  The cylinders of all grid points, and then
-    of all their images, are realized in one batch each by ``realize_many``.
+    probe grid as a diagnostic.  The images f x depend only on the grid, so
+    the grid points and their images share one batch: one ``itinerary_many``
+    and one ``realize_many`` call, grid points first, so an EmptyCylinder
+    names the first failing grid point before any image.
     """
     kx = kneading_data(mx, depth)
     ky = kneading_data(my, depth)
@@ -413,13 +448,17 @@ def build_conjugacy(mx: MapModel, my: MapModel, depth: int, grid: int) -> Conjug
         if sign != EQUAL:
             raise KneadingMismatch(name, idx)
 
-    def H(zs):
-        words = [itinerary(mx, SignedPoint(z, PLUS), depth) for z in zs]
-        return [r.midpoint for r in realize_many(my, words)]
+    def off_discontinuity(z):
+        return ~np.logical_or(*mx.on_discontinuity_np(z))
 
-    xs = [x for x in ((i + 0.5) / grid for i in range(grid))
-          if mx.on_discontinuity(x) is None]
-    pairs = sorted([(0.0, 0.0), (mx.c_minus, my.c_minus)] + list(zip(xs, H(xs))))
+    xs = (np.arange(grid) + 0.5) / grid
+    xs = xs[off_discontinuity(xs)]
+    fxs = mx.f_np(xs)
+    imaged = off_discontinuity(fxs)
+    words = itinerary_many(mx, np.concatenate((xs, fxs[imaged])), PLUS, depth)
+    hxs, hfxs = np.split(np.array([r.midpoint for r in realize_many(my, words)]), [xs.size])
+    pairs = sorted([(0.0, 0.0), (mx.c_minus, my.c_minus)]
+                   + list(zip(xs.tolist(), hxs.tolist())))
 
     prev = None
     winding = 0.0
@@ -434,31 +473,16 @@ def build_conjugacy(mx: MapModel, my: MapModel, depth: int, grid: int) -> Conjug
     if abs(winding - 1.0) > 1e-6:
         monotone = False
 
-    fxs, gys = [], []
-    for x, y in pairs:
-        if mx.on_discontinuity(x) is not None:
-            continue
-        fx = mx.f(x)
-        if mx.on_discontinuity(fx) is not None:
-            continue
-        fxs.append(fx)
-        gys.append(my.f(y))
-    defect = max((circle_dist(h, gy) for h, gy in zip(H(fxs), gys)), default=0.0)
+    defect = circle_dist_np(hfxs, my.f_np(hxs[imaged])).max(initial=0.0)
 
-    knots = [x for x, _ in pairs]
-    interp_defect = 0.0
-    probes = grid * 10
-    for i in range(probes):
-        x = (i + 0.5) / probes
-        fx = mx.f(x) if mx.on_discontinuity(x) is None else None
-        if fx is None or mx.on_discontinuity(fx) is not None:
-            continue
-        hx = _interp_h(pairs, knots, x)
-        interp_defect = max(interp_defect,
-                            circle_dist(_interp_h(pairs, knots, fx), my.f(hx)))
+    h = _interpolation(pairs)
+    probes = (np.arange(grid * 10) + 0.5) / (grid * 10)
+    fps = mx.f_np(probes)
+    keep = off_discontinuity(probes) & off_discontinuity(fps)
+    interp_defect = circle_dist_np(h(fps[keep]), my.f_np(h(probes[keep]))).max(initial=0.0)
 
-    return ConjugacyResult(pairs=pairs, defect=defect,
-                           interp_defect=interp_defect, monotone=monotone)
+    return ConjugacyResult(pairs=pairs, defect=float(defect),
+                           interp_defect=float(interp_defect), monotone=monotone)
 
 
 def shoot_matched_model(mx: MapModel, theta1_new: float, match_depth: int,

@@ -305,6 +305,17 @@ def test_main_unwritable_report_exits_2(tmp_path, capsys):
     assert "classify.json" in err
 
 
+def test_main_expansion_failure_message_is_short(tmp_path, capsys):
+    # a huge but valid lambda_min_required fails the expansion check; the
+    # message gives it to 6 significant digits, not its 309 digits
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"model": {"lambda_min_required": 1e308}}')
+    assert cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err) < 120
+    assert "1e+308" in err
+
+
 def test_main_kneading_cusp_just_off_c_plus(tmp_path):
     # alpha = 2e-9 puts a* 8.7e-10 below c-, inside SNAP of both; (c-, +)
     # snaps to the nearer cut c- and reads B0, as the recursion demands

@@ -244,6 +244,13 @@ def test_verify_hypotheses_broken_wrap():
     assert not rep.all_ok
 
 
+def test_verify_hypotheses_weak_expansion_message():
+    params = dataclasses.replace(M0.params, lambda_min_required=1e308)
+    rep = verify_hypotheses(dataclasses.replace(M0, params=params))
+    assert not rep.expansion_ok
+    assert rep.failures == ["lambda_min=1.7 <= 1e+308"]
+
+
 def test_lorenz_like_verdicts():
     # exhaustive enumeration is the oracle: at N=4 the sum (1,0,2) hits
     # lambda_s = -5 + 4 = -1; restricting to N=3 leaves no resonance

@@ -1,3 +1,4 @@
+import bisect
 import math
 from dataclasses import replace
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from lorenzlab.circle import circle_dist
+from lorenzlab.circle import circle_dist, norm1
 from lorenzlab.errors import EmptyCylinder, ExpansionTooWeak, KneadingMismatch
 from lorenzlab.maps import (
     MINUS,
@@ -13,6 +14,7 @@ from lorenzlab.maps import (
     SNAP,
     TWO_PI,
     BranchProfile,
+    MapModel,
     ModelParams,
     SignedPoint,
     build_model,
@@ -23,9 +25,11 @@ from lorenzlab.symbolic import (
     LESS,
     Letter,
     Word,
+    _interpolation,
     build_conjugacy,
     is_admissible,
     itinerary,
+    itinerary_many,
     kneading_data,
     lex_compare,
     realize,
@@ -329,23 +333,67 @@ def test_realize_many_edge_batches():
 
 
 def test_np_sin_matches_math_sin_on_batch_lift_arguments(monkeypatch):
-    # realize_many equals realize bit for bit only while np.sin equals
-    # math.sin on every argument the batch lift evaluates.  Record those
-    # arguments over a conjugacy-sized batch on M0 and compare, so a platform
-    # that breaks the premise fails here rather than through moved digests.
-    args = []
+    # realize_many equals realize, and itinerary_many equals itinerary, bit
+    # for bit only while np.sin equals math.sin on every argument the batch
+    # lift and the batch orbits evaluate, and while the lane-wise
+    # discontinuity test equals on_discontinuity.  Record those over
+    # conjugacy-sized batches on M0 and compare, so a platform that breaks
+    # the premise fails here rather than through moved digests.
+    args, lanes = [], []
     g_np = BranchProfile.g_np
+    on_discontinuity_np = MapModel.on_discontinuity_np
 
     def recording(self, t):
         args.append(TWO_PI * t / self.length)
         return g_np(self, t)
 
+    def recording_lanes(self, x):
+        lanes.append(x)
+        return on_discontinuity_np(self, x)
+
     monkeypatch.setattr(BranchProfile, "g_np", recording)
+    monkeypatch.setattr(MapModel, "on_discontinuity_np", recording_lanes)
     words = [itinerary(M0, SignedPoint(i / 100, PLUS), 30) for i in range(100)]
     realize_many(M0, words)
     assert len(args) > 1000
+    # the grid and image lanes of build_conjugacy(M0, M0, 30, 200)
+    grid = [(i + 0.5) / 200 for i in range(200)]
+    lifts = len(args)
+    itinerary_many(M0, grid + [M0.f(x) for x in grid], PLUS, 30)
+    assert len(args) == lifts + 30 and len(lanes) == 30
     for arg in args:
         assert np.sin(arg).tolist() == [math.sin(a) for a in arg.tolist()]
+    c = M0.c_minus
+    lanes.append(np.array([0.0, SNAP, -SNAP, 1.0 - SNAP, 2 * SNAP, c, c - SNAP,
+                           c + SNAP, c + 2 * SNAP, math.nextafter(c + SNAP, 1.0)]))
+    for x in lanes:
+        at_plus, at_minus = on_discontinuity_np(M0, x)
+        expected = [M0.on_discontinuity(v) for v in x.tolist()]
+        assert at_plus.tolist() == [d == 0.0 for d in expected]
+        assert at_minus.tolist() == [d == c for d in expected]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(model=random_models(), depth=st.integers(1, 30),
+       xs=st.lists(points, max_size=8),
+       offsets=st.lists(st.floats(-2 * SNAP, 2 * SNAP), max_size=3))
+def test_itinerary_many_matches_itinerary(model, depth, xs, offsets):
+    # every lane equals scalar itinerary letter for letter on both sides, at
+    # every region cut, both cusps and random points, each also moved by
+    # SNAP / 2, SNAP and its float neighbours, and 2 SNAP either way, and by
+    # random offsets within 2 SNAP; the inputs outside [0, 1) test the
+    # normalization
+    cuts = [x for x in (0.0, model.a_star, model.c_minus, model.b_star, model.q1, model.q2)
+            if x is not None]
+    moves = [0.0, SNAP / 2, SNAP, math.nextafter(SNAP, 0.0), math.nextafter(SNAP, 1.0),
+             2 * SNAP] + offsets
+    pts = xs + [cut + s * d for cut in cuts for d in moves for s in (1, -1)]
+    pts += [1.0 - 2.0 ** -53, -2.0 ** -60, 1.25]
+    for side in (PLUS, MINUS):
+        batch = itinerary_many(model, pts, side, depth)
+        assert all(isinstance(l, Letter) for w in batch for l in w.letters)
+        assert [w.letters for w in batch] == [
+            itinerary(model, SignedPoint(x, side), depth).letters for x in pts]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -372,6 +420,23 @@ def test_realize_roundtrip_random_models(model, xs):
     assert [_bits(r) for r in realize_many(model, words)] == found
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(model=random_models(),
+       xs=st.lists(st.floats(1e-4, 1 - 1e-4), min_size=2, max_size=8))
+def test_order_proposition_random_models(model, xs):
+    # the order proposition of test_order_proposition on random models,
+    # cusps on c+, within SNAP of it and on c- included: ccw neighbours at
+    # least 1e-4 apart, and each point against itself
+    xs = sorted(xs)
+    for x1, x2 in zip(xs, xs[1:]):
+        wp = itinerary(model, SignedPoint(x1, PLUS), 40)
+        if x2 - x1 >= 1e-4:
+            wm = itinerary(model, SignedPoint(x2, MINUS), 40)
+            assert lex_compare(wp, wm)[0] == LESS
+        wmm = itinerary(model, SignedPoint(x1, MINUS), 40)
+        assert lex_compare(wmm, wp)[0] in (LESS, EQUAL)
+
+
 def test_self_conjugacy():
     res = build_conjugacy(M0, M0, depth=30, grid=200)
     assert res.monotone
@@ -381,10 +446,92 @@ def test_self_conjugacy():
         assert circle_dist(x, y) <= bound
 
 
+def _interp_reference(pairs, x):
+    """Piecewise-linear circle interpolation through the pairs at one point."""
+    i = bisect.bisect_right([x0 for x0, _ in pairs], x) - 1
+    x0, y0 = pairs[i]
+    x1, y1 = pairs[(i + 1) % len(pairs)]
+    t = ((x - x0) % 1.0) / ((x1 - x0) % 1.0 or 1.0)
+    return norm1(y0 + t * ((y1 - y0) % 1.0))
+
+
+def _conjugacy_reference(mx, my, depth, grid):
+    """build_conjugacy's pairs, defect and interp_defect one point at a time,
+    with scalar itinerary, realize and f."""
+    def H(z):
+        return realize(my, itinerary(mx, SignedPoint(z, PLUS), depth)).midpoint
+
+    xs = [x for x in ((i + 0.5) / grid for i in range(grid)) if mx.on_discontinuity(x) is None]
+    pairs = sorted([(0.0, 0.0), (mx.c_minus, my.c_minus)] + [(x, H(x)) for x in xs])
+    defect = max((circle_dist(H(mx.f(x)), my.f(H(x))) for x in xs
+                  if mx.on_discontinuity(mx.f(x)) is None), default=0.0)
+    interp_defect = 0.0
+    for i in range(grid * 10):
+        x = (i + 0.5) / (grid * 10)
+        if mx.on_discontinuity(x) is None and mx.on_discontinuity(mx.f(x)) is None:
+            fx, hx = _interp_reference(pairs, mx.f(x)), _interp_reference(pairs, x)
+            interp_defect = max(interp_defect, circle_dist(fx, my.f(hx)))
+    return pairs, defect, interp_defect
+
+
+@pytest.mark.parametrize("mx, my, depth, grid", [
+    (M0, M0, 30, 20),
+    (M0, shoot_matched_model(M0, 0.10, 30), 30, 50),
+    (M(0.7, 0.2), M(0.7, 0.2), 20, 37),
+    (M(0.6, 0.3, c_minus=0.45), M(0.6, 0.3, c_minus=0.45), 25, 31),
+])
+def test_conjugacy_matches_scalar_reference(mx, my, depth, grid):
+    res = build_conjugacy(mx, my, depth, grid)
+    assert (res.pairs, res.defect, res.interp_defect) == _conjugacy_reference(mx, my, depth, grid)
+
+
+@pytest.mark.parametrize("pairs", [
+    build_conjugacy(M0, M0, 30, 20).pairs,
+    [(0.0, 0.0), (0.5, 0.5), (0.75, 0.9)],
+    [(0.25, 0.75)],
+])
+def test_interpolation_matches_scalar_formula(pairs):
+    # bit for bit at probes, at the knots and their float neighbours, and
+    # where the last piece reaches a full turn
+    knots = [x for x, _ in pairs]
+    zs = [(i + 0.5) / 997 for i in range(997)] + knots + [0.0, 1.0 - 2.0 ** -53]
+    zs += [math.nextafter(x, d) for x in knots for d in (0.0, 1.0)]
+    zs = [z for z in zs if 0.0 <= z < 1.0]
+    assert _interpolation(pairs)(np.array(zs)).tolist() == [
+        _interp_reference(pairs, z) for z in zs]
+
+
 def test_conjugacy_kneading_guard():
     other = M(0.61, 0.3)
     with pytest.raises(KneadingMismatch):
         build_conjugacy(M0, other, depth=20, grid=16)
+
+
+@pytest.mark.parametrize("my, grid, depth, expected", [
+    (M(0.61, 0.3), 16, 20, 10),   # a grid word fails first, an image word at 11
+    (M(0.6, 0.29), 16, 10, 8),    # every grid word is realized, an image word is not
+])
+def test_conjugacy_reports_first_empty_cylinder(my, grid, depth, expected, monkeypatch):
+    # with the kneading guard bypassed, my cannot realize every M0 word: the
+    # batch must raise the EmptyCylinder depth of the first failing word of
+    # the scalar reference, grid points in order and then their images
+    xs = [x for x in ((i + 0.5) / grid for i in range(grid)) if M0.on_discontinuity(x) is None]
+    fxs = [M0.f(x) for x in xs if M0.on_discontinuity(M0.f(x)) is None]
+    assert _first_fail_depth(M0, my, xs + fxs, depth) == expected
+    kd = kneading_data(M0, depth)
+    monkeypatch.setattr("lorenzlab.symbolic.kneading_data", lambda model, d: kd)
+    with pytest.raises(EmptyCylinder) as err:
+        build_conjugacy(M0, my, depth, grid)
+    assert err.value.depth == expected
+
+
+def _first_fail_depth(mx, my, zs, depth):
+    for z in zs:
+        try:
+            realize(my, itinerary(mx, SignedPoint(z, PLUS), depth))
+        except EmptyCylinder as exc:
+            return exc.depth
+    return None
 
 
 def _shoot_with_scan(mx, theta1_new, match_depth, window=0.03, scan=3000):
