@@ -19,7 +19,7 @@ norm) staying below one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,7 +97,6 @@ class ConeReport:
     expansion_ok: bool
     product_ok: bool
     analytic_bound_ok: bool
-    violations: list = field(default_factory=list)
 
     @property
     def all_ok(self) -> bool:
@@ -162,15 +161,6 @@ def verify_cones(skew: SkewModel, grid_x: int = 1000, grid_y: int = 100) -> Cone
     product = fiber_norm * dinv * du
     worst_product = float(product.max())
 
-    violations = []
-    if worst_cone >= 1.0:
-        idx = int(np.argmax(np.maximum(slope_pos, slope_neg)))
-        violations.append(("cone", float(x[idx]), float(y[idx])))
-    if min_expansion < base.lambda_min - 1e-9:
-        violations.append(("expansion", float(x[int(np.argmin(fprime))]), 0.0))
-    if worst_product >= 1.0:
-        violations.append(("product", float(xo[int(np.argmax(product))]), 0.0))
-
     bound = skew.cone_bound()
     return ConeReport(
         worst_cone_factor=worst_cone,
@@ -181,7 +171,6 @@ def verify_cones(skew: SkewModel, grid_x: int = 1000, grid_y: int = 100) -> Cone
         expansion_ok=min_expansion >= base.lambda_min - 1e-9,
         product_ok=worst_product < 1.0,
         analytic_bound_ok=bound < 1.0,
-        violations=violations,
     )
 
 

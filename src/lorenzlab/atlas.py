@@ -24,6 +24,7 @@ from .circle import (
     circle_dist_np,
     dist_ccw,
     dist_ccw_np,
+    linear_pieces,
     norm1,
 )
 from .errors import (
@@ -243,32 +244,20 @@ class CoverageCertificate:
     history: list[float] = field(default_factory=list)
 
 
-def _map_interval(model: MapModel, lo: float, hi: float) -> list[tuple[float, float]]:
-    """Image of a linear sub-interval of one branch, as linear pieces.
+def _branch_images(model: MapModel, lo: float, hi: float):
+    """Images of the linear interval [lo, hi] of [0, 1], split at c-.
 
-    Endpoints are evaluated through the branch lift, so endpoints that sit on
-    a discontinuity produce the correct one-sided cusp limits automatically.
+    Each piece takes the branch of its left end, as ``branch_of`` decides it,
+    and yields (lift(lo) mod 1, lift(hi) - lift(lo)): the start of its image
+    and the image length.  Ends evaluated through the branch lift give the
+    one-sided cusp limits at a discontinuity.
     """
-    branch = 1 if hi <= model.c_minus + 1e-15 else 2
-    a = model.lift(branch, lo)
-    b = model.lift(branch, hi)
-    a_m, length = a % 1.0, b - a
-    end = a_m + length
-    if end <= 1.0:
-        return [(a_m, end)]
-    return [(a_m, 1.0), (0.0, end - 1.0)]
-
-
-def _clip(pieces, confine) -> list[tuple[float, float]]:
-    if confine is None:
-        return pieces
-    out = []
-    for lo, hi in pieces:
-        for clo, chi in confine:
-            nlo, nhi = max(lo, clo), min(hi, chi)
-            if nhi > nlo:
-                out.append((nlo, nhi))
-    return out
+    c = model.c_minus
+    cuts = (lo, c, hi) if lo < c < hi else (lo, hi)
+    for a, b in zip(cuts, cuts[1:]):
+        branch = model.branch_of(a)
+        start = model.lift(branch, a)
+        yield start % 1.0, model.lift(branch, b) - start
 
 
 def iterate_segments(model: MapModel, seed: Arc, maxN: int, eps: float,
@@ -282,48 +271,50 @@ def iterate_segments(model: MapModel, seed: Arc, maxN: int, eps: float,
     shorter than eps are reported as isolated missed points.
     """
     union = ArcUnion()
-    family = ArcUnion()
     union.add(seed)
-    family.add(seed)
-    confine_iv = None
-    if confine is not None:
-        cu = ArcUnion()
-        cu.add(confine)
-        confine_iv = cu.intervals()
-
-    history = [union.total_length]
+    family = union.intervals()
+    confine_iv = None if confine is None else linear_pieces(confine)
+    covered = union.total_length
+    history = [covered]
     iterations = 0
-    c = model.c_minus
     for step in range(1, maxN + 1):
         pieces = []
-        for lo, hi in family.intervals():
-            splits = [lo] + [p for p in (c,) if lo < p < hi] + [hi]
-            for a, b in zip(splits, splits[1:]):
-                pieces.extend(_map_interval(model, a, b))
-        pieces = _clip(pieces, confine_iv)
+        for lo, hi in family:
+            for start, length in _branch_images(model, lo, hi):
+                end = start + length
+                if end <= 1.0:
+                    pieces.append((start, end))
+                else:
+                    pieces += [(start, 1.0), (0.0, end - 1.0)]
+        if confine_iv is not None:
+            pieces = [(max(lo, clo), min(hi, chi))
+                      for lo, hi in pieces for clo, chi in confine_iv
+                      if min(hi, chi) > max(lo, clo)]
         if len(pieces) > ARC_BUDGET:
             raise ArcBudgetExceeded(f"{len(pieces)} arcs at step {step}")
-        family = ArcUnion()
-        family.add_many(pieces)
-        union.add_many(pieces)
-        history.append(union.total_length)
+        merged = ArcUnion()
+        merged.add_many(pieces)
+        # a merged union is canonical and copies its endpoints, so adding the
+        # merged family gives the union that adding the raw pieces would
+        family = merged.intervals()
+        union.add_many(family)
+        covered = union.total_length
+        history.append(covered)
         iterations = step
-        if 1.0 - union.total_length < eps:
+        if 1.0 - covered < eps:
             break
 
     gaps = union.gaps()
     missed = [g.midpoint() for g in gaps if g.length < eps]
     # a discontinuity is a permanent puncture iff both cusps sit on it: it
     # then has no interior preimage and no image arc ever crosses it
-    for d in (0.0, c):
+    for d in (0.0, model.c_minus):
         if (circle_dist(model.q1, d) <= SNAP and circle_dist(model.q2, d) <= SNAP
                 and all(circle_dist(m, d) > SNAP for m in missed)):
             missed.append(d)
-    terminal = [Arc(lo, hi if hi < 1.0 else 0.0, full=hi - lo >= 1.0)
-                for lo, hi in family.intervals()]
+    terminal = [Arc.from_linear(lo, hi) for lo, hi in family]
     return CoverageCertificate(
-        seed=seed, iterations_used=iterations,
-        covered_fraction=union.total_length,
+        seed=seed, iterations_used=iterations, covered_fraction=covered,
         missed_points=missed, terminal_arcs=terminal,
         gap_arcs=gaps, history=history)
 
@@ -347,17 +338,15 @@ def _clearance(model: MapModel, region: Arc) -> float:
     piece's branch to f(end).  The clearance is the least distance from those
     arcs to the ends of region, or -1 when one of them leaves region.
     """
-    d = 0.0 if arc_contains(region, 0.0) else model.c_minus
     clear = []
-    for lo, hi in ((region.start, d or 1.0), (d, region.end)):
-        branch = model.branch_of(lo)
-        a = model.lift(branch, lo)
-        u = dist_ccw(region.start, norm1(a))
-        v = u + (model.lift(branch, hi) - a)
-        if u <= 0.0 or v >= region.length:
-            return -1.0
-        clear += [u, region.length - v]
-    return min(clear)
+    for lo, hi in linear_pieces(region):
+        for start, length in _branch_images(model, lo, hi):
+            u = dist_ccw(region.start, start)
+            v = u + length
+            if u <= 0.0 or v >= region.length:
+                return -1.0
+            clear += [u, region.length - v]
+    return min(clear, default=-1.0)
 
 
 def trapping_interval(model: MapModel,

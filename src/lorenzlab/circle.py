@@ -63,6 +63,11 @@ class Arc:
     def full_circle() -> "Arc":
         return Arc(0.0, 0.0, full=True)
 
+    @staticmethod
+    def from_linear(lo: float, hi: float) -> "Arc":
+        """The arc of the linear interval [lo, hi], with hi - lo <= 1."""
+        return Arc(norm1(lo), norm1(hi), full=hi - lo >= 1.0)
+
     @property
     def length(self) -> float:
         if self.full:
@@ -85,6 +90,21 @@ def arc_contains(arc: Arc, p: float) -> bool:
     return TOL < d < arc.length - TOL
 
 
+def linear_pieces(arc: Arc) -> list[tuple[float, float]]:
+    """The arc as linear pieces (lo, hi) of [0, 1], split at 0 if it wraps."""
+    if arc.full:
+        return [(0.0, 1.0)]
+    if arc.is_empty:
+        return []
+    s, e = norm1(arc.start), norm1(arc.end)
+    if s < e:
+        return [(s, e)]
+    pieces = [(s, 1.0)]
+    if e > 0.0:
+        pieces.append((0.0, e))
+    return pieces
+
+
 class ArcUnion:
     """Union of arcs kept as sorted disjoint intervals in linear [0, 1] coords.
 
@@ -96,21 +116,8 @@ class ArcUnion:
     def __init__(self):
         self._iv: list[tuple[float, float]] = []
 
-    def _linear_pieces(self, arc: Arc) -> list[tuple[float, float]]:
-        if arc.full:
-            return [(0.0, 1.0)]
-        if arc.is_empty:
-            return []
-        s, e = norm1(arc.start), norm1(arc.end)
-        if s < e:
-            return [(s, e)]
-        pieces = [(s, 1.0)]
-        if e > 0.0:
-            pieces.append((0.0, e))
-        return pieces
-
     def add(self, arc: Arc) -> None:
-        self.add_many(self._linear_pieces(arc))
+        self.add_many(linear_pieces(arc))
 
     def add_many(self, pieces) -> None:
         """Merge linear pieces (lo, hi) with 0 <= lo, hi <= 1; empty ones drop."""

@@ -31,7 +31,7 @@ from .annulus import (
     verify_cones,
 )
 from .atlas import attractor_span, classify, classify_grid
-from .circle import Arc
+from .circle import Arc, norm1
 from .errors import (
     BudgetError,
     ConfigError,
@@ -386,10 +386,10 @@ def run_histogram(config: Config):
     rng = np.random.default_rng(h["seed"])
     x = float(rng.uniform(0.0, 1.0))
     for _ in range(h["burn_in"]):
-        x = f(x if on_discontinuity(x) is None else x + 1e-9)
+        x = f(x if on_discontinuity(x) is None else norm1(x + 1e-9))
     samples = np.empty(h["orbit_length"])
     for i in range(h["orbit_length"]):
-        x = f(x if on_discontinuity(x) is None else x + 1e-9)
+        x = f(x if on_discontinuity(x) is None else norm1(x + 1e-9))
         samples[i] = x
     counts, edges = np.histogram(samples, bins=h["bins"], range=(0.0, 1.0))
     rows = [[i, edges[i], edges[i + 1], int(c)] for i, c in enumerate(counts)]
@@ -584,7 +584,8 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         print(f"precondition error: {exc}", file=sys.stderr)
         return 3
-    except BudgetError as exc:
+    except (BudgetError, MemoryError) as exc:
+        # numpy raises MemoryError for a size it cannot allocate at once
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 4
     print(f"{args.command}: wrote outputs to {args.out}")

@@ -325,7 +325,7 @@ class Realization:
 
 
 def _realization(lo: float, hi: float) -> Realization:
-    return Realization(interval=Arc(norm1(lo), hi if hi < 1.0 else 0.0),
+    return Realization(interval=Arc.from_linear(lo, hi),
                        midpoint=norm1(0.5 * (lo + hi)))
 
 

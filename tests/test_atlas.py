@@ -244,6 +244,16 @@ def test_engine_coverage_example():
     assert cert.iterations_used <= 60
 
 
+def test_engine_sliver_right_of_c_minus_takes_branch_2():
+    # a piece [c-, c- + 5e-16] lies on branch 2, so its image starts at the
+    # cusp q2 = 0.3, as a wider seed's does, and not near q1 = 0.6
+    for width in (5e-16, 2e-15):
+        cert = iterate_segments(M0, Arc(0.5, 0.5 + width), maxN=1, eps=1e-12)
+        (arc,) = cert.terminal_arcs
+        assert arc.start == M0.q2
+        assert 0.0 < arc.end - M0.q2 < 1e-14
+
+
 def test_engine_monotone_history():
     cert = iterate_segments(M0, Arc(0.1, 0.101), maxN=40, eps=1e-6)
     hist = cert.history

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lorenzlab.circle import Arc, ArcUnion, arc_contains, dist_ccw, norm1
+from lorenzlab.circle import Arc, ArcUnion, arc_contains, dist_ccw, linear_pieces, norm1
 
 
 def test_dist_ccw_basic():
@@ -54,3 +54,14 @@ def test_norm1():
     assert norm1(1.0) == 0.0
     assert norm1(-0.25) == pytest.approx(0.75)
     assert 0.0 <= norm1(123.456) < 1.0
+
+
+def test_linear_pieces_and_back():
+    assert linear_pieces(Arc(0.2, 0.7)) == [(0.2, 0.7)]
+    assert linear_pieces(Arc(0.9, 0.1)) == [(0.9, 1.0), (0.0, 0.1)]
+    assert linear_pieces(Arc(0.9, 0.0)) == [(0.9, 1.0)]
+    assert linear_pieces(Arc.full_circle()) == [(0.0, 1.0)]
+    assert linear_pieces(Arc(0.3, 0.3)) == []
+    assert Arc.from_linear(0.2, 0.7) == Arc(0.2, 0.7)
+    assert Arc.from_linear(0.9, 1.0) == Arc(0.9, 0.0)
+    assert Arc.from_linear(0.0, 1.0) == Arc(0.0, 0.0, full=True)

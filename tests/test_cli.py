@@ -209,6 +209,28 @@ def test_histogram_two_sided_support():
     assert all(r[3] > 0 for r in rows)
 
 
+def test_histogram_nudge_crosses_c_plus(monkeypatch):
+    # an orbit point within SNAP left of c+ is nudged across c+ onto branch 1,
+    # as one left of c- is nudged onto branch 2: its image is near q1, not q2
+    class Start:
+        def uniform(self, lo, hi):
+            return 1.0 - 5e-10
+
+    orbits = []
+    histogram = np.histogram
+
+    def recording_histogram(a, **kw):
+        orbits.append(a.copy())
+        return histogram(a, **kw)
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: Start())
+    monkeypatch.setattr(np, "histogram", recording_histogram)
+    cfg = load(histogram={"orbit_length": 2, "burn_in": 0, "bins": 2})
+    cli.run_histogram(cfg)
+    model = cfg.build_model()
+    assert abs(orbits[0][0] - model.q1) < 1e-6
+
+
 def test_histogram_orbit_shorter_than_bins():
     with pytest.raises(ValidationError):
         cli.run_histogram(load(histogram={"orbit_length": 100, "bins": 512}))
@@ -263,6 +285,9 @@ BAD_INPUTS = [
     ("classify", None, 2),                                     # missing file
     ("classify", b"\xff\xfe{}", 2),                           # not UTF-8
     ("classify --out cfg.json/sub", "{}", 2),                  # --out under a file
+    # sizes whose first array cannot be allocated
+    ("histogram", '{"histogram": {"orbit_length": 1000000000000000}}', 4),
+    ("attractor2d", '{"cloud": {"samples": 1000000000000000}}', 4),
 ]
 
 

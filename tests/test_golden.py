@@ -20,6 +20,12 @@ CONFIGS = {
         "model": {"theta1": 0.19},
         "path": {"start": [0.77, 0.22], "end": [0.79, 0.22], "steps": 21},
     },
+    # the benchmark's collision part: the README collision path at 401 steps;
+    # pinned for ``path`` only
+    "collision401": {
+        "model": {"theta1": 0.19},
+        "path": {"start": [0.77, 0.22], "end": [0.79, 0.22], "steps": 401},
+    },
     # the README atlas window at 128^2: unlike the default [0,1]^2 sweep it
     # reaches the HE1 cells and both L+/- wedges; pinned for ``sweep`` only
     "atlas": {
@@ -114,6 +120,10 @@ GOLDEN = {
     },
     "collision/verify": {
         "verify.json": "3b0e66bd264c6d37311a515c6e9a07afeaf2c4d4b8c302d7ab0b6115e1e90b1e",
+    },
+    "collision401/path": {
+        "path.csv": "e10bbcb5d96ef850bf99f197c8d1e7ac92aefd1a996e98c6203b49726cf53bdf",
+        "path_report.json": "40e1621d1787db52bf5d1cd721d7ff93f86e757f85d3e6f97cbcd1d015b97b75",
     },
 }
 
