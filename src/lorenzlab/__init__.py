@@ -12,7 +12,6 @@ from .maps import (
     SignedPoint,
     build_model,
     check_singularity_conditions,
-    derivative,
     eval_signed,
     fixed_points,
     inverse_branch,

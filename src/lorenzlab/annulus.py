@@ -70,19 +70,21 @@ def apply_skew(skew: SkewModel, p: tuple[float, float]) -> tuple[float, float]:
     return (base.f(x), eta + skew.kappa * math.sin(math.pi * t / L) * y)
 
 
-def _pinch_terms(base: MapModel, x):
-    """Per-sample branch-2 mask, pinch rho(t) = sin(pi t / L) and its slope."""
-    two = x >= base.c_minus
-    _, start, profile = branch_lanes(base, two)
+def _cocycle(base: MapModel, x):
+    """Per-sample base slope f'(x), pinch rho(t) = sin(pi t / L) and its
+    slope rho'(t), from one gather of branch data."""
+    _, start, profile = branch_lanes(base, x >= base.c_minus)
     t, L = x - start, profile.length
-    return two, np.sin(np.pi * t / L), (np.pi / L) * np.cos(np.pi * t / L)
+    return profile.dg_np(t), np.sin(np.pi * t / L), (np.pi / L) * np.cos(np.pi * t / L)
 
 
 def apply_skew_np(skew: SkewModel, x, y):
     """Vectorized skew step; callers keep samples off the discontinuities."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    two, rho, _ = _pinch_terms(skew.base, x)
+    two = x >= skew.base.c_minus
+    _, start, profile = branch_lanes(skew.base, two)
+    rho = np.sin(np.pi * (x - start) / profile.length)
     eta = np.where(two, skew.eta2, skew.eta1)
     return skew.base.f_np(x), eta + skew.kappa * rho * y
 
@@ -126,8 +128,7 @@ def verify_cones(skew: SkewModel, grid_x: int = 1000, grid_y: int = 100) -> Cone
     x = X.ravel()
     y = Y.ravel()
 
-    fprime = base.deriv_np(x)
-    _, rho, drho = _pinch_terms(base, x)
+    fprime, rho, drho = _cocycle(base, x)
     dy_dx = skew.kappa * drho * y
     dy_dy = skew.kappa * rho
 
@@ -144,15 +145,13 @@ def verify_cones(skew: SkewModel, grid_x: int = 1000, grid_y: int = 100) -> Cone
     xo, yo = x.copy(), y.copy()
     s = np.zeros_like(xo)
     for _ in range(12):
-        fpo = base.deriv_np(xo)
-        _, rho_o, drho_o = _pinch_terms(base, xo)
+        fpo, rho_o, drho_o = _cocycle(base, xo)
         s = (skew.kappa * drho_o * yo + skew.kappa * rho_o * s) / fpo
         xo, yo = apply_skew_np(skew, xo, yo)
         # collapse samples that drifted onto a discontinuity
         bad = (np.abs(xo) < eps) | (np.abs(xo - 1.0) < eps) | (np.abs(xo - base.c_minus) < eps)
         xo = np.where(bad, 0.25 * base.c_minus, xo)
-    fpo = base.deriv_np(xo)
-    _, rho_o, drho_o = _pinch_terms(base, xo)
+    fpo, rho_o, drho_o = _cocycle(base, xo)
     fiber_norm = skew.kappa * rho_o
     u_norm = np.sqrt(1.0 + s * s)
     img = np.sqrt(fpo ** 2 + (skew.kappa * drho_o * yo + skew.kappa * rho_o * s) ** 2)
@@ -197,11 +196,11 @@ def attractor_cloud(skew: SkewModel, depth: int, samples: int,
     else:
         x = np.mod(seed_arc.start + rng.uniform(0.0, seed_arc.length, samples), 1.0)
     y = rng.uniform(-0.95, 0.95, samples)
-    eps = 1e-12
     base = skew.base
 
     def fix(xv):
-        bad = (np.abs(xv) < eps) | (np.abs(xv - 1.0) < eps) | (np.abs(xv - base.c_minus) < eps)
+        # step samples within SNAP of c+ or c- across it, as run_histogram does
+        bad = np.logical_or(*base.on_discontinuity_np(xv))
         return np.where(bad, np.mod(xv + 1e-9, 1.0), xv)
 
     for _ in range(burn_in):

@@ -448,9 +448,6 @@ def horseshoe_certificate(model: MapModel, R_H: Arc) -> HorseshoeCertificate:
 @dataclass
 class SpanResult:
     span: Arc
-    full: bool
-    length: float
-    missed_points: list[float]
     certificate: CoverageCertificate
     verdict: RegionVerdict
     trapping: TrappingCertificate | None
@@ -463,7 +460,7 @@ def attractor_span(model: MapModel, maxN: int = 60, eps: float = 1e-3) -> SpanRe
     the trapping interval when the classification provides one (an up or
     down Lorenz verdict; that certificate is returned as ``trapping``); the
     span is the complement of the largest gap left in the accumulated union,
-    and ``full`` means every gap has shrunk below the engine resolution.
+    and a full ``span`` means every gap has shrunk below the engine resolution.
     """
     v = classify(model)
     trap = trapping_interval(model, v) if v.dynamics in (UP_LORENZ, DOWN_LORENZ) else None
@@ -477,11 +474,5 @@ def attractor_span(model: MapModel, maxN: int = 60, eps: float = 1e-3) -> SpanRe
 
     cert = iterate_segments(model, seed, maxN=maxN, eps=eps, confine=confine)
     gap = max(cert.gap_arcs, key=lambda g: g.length, default=None)
-    if gap is None or gap.length < eps:
-        return SpanResult(span=Arc.full_circle(), full=True, length=1.0,
-                          missed_points=cert.missed_points, certificate=cert,
-                          verdict=v, trapping=trap)
-    span = Arc(gap.end, gap.start)
-    return SpanResult(span=span, full=False, length=span.length,
-                      missed_points=cert.missed_points, certificate=cert,
-                      verdict=v, trapping=trap)
+    span = Arc.full_circle() if gap is None or gap.length < eps else Arc(gap.end, gap.start)
+    return SpanResult(span=span, certificate=cert, verdict=v, trapping=trap)

@@ -79,10 +79,15 @@ def _range01(lo_open=False, hi_open=False, lo=0.0, hi=1.0):
     return check
 
 
+# the largest integer that JSON carries interoperably (RFC 8259, section 6);
+# every integer key and the cloud raster's cell count stay at or below it
+MAX_INT = 2 ** 53 - 1
+
+
 def _positive_int(minimum=1):
     def check(v, field):
-        if not isinstance(v, int) or isinstance(v, bool) or v < minimum:
-            raise ValidationError(field, f"must be an integer >= {minimum}")
+        if not isinstance(v, int) or isinstance(v, bool) or not minimum <= v <= MAX_INT:
+            raise ValidationError(field, f"must be an integer in {minimum}..{MAX_INT}")
     return check
 
 
@@ -266,24 +271,11 @@ def render_pgm(img: np.ndarray) -> bytes:
     return f"P5\n{w} {h}\n255\n".encode() + img.astype(np.uint8).tobytes()
 
 
-def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return "1" if v else "0"
-    if isinstance(v, float):
-        return f"{v:.12g}"
-    return str(v)
-
-
-def _line(row) -> str:
-    return ",".join(_fmt(v) for v in row)
-
-
-def _csv(header: list[str], lines, values=None) -> bytes:
-    """CSV document from a header and formatted lines; with ``values`` the
-    lines are %-templates, filled from them in order in one pass."""
-    body = "\n".join(lines)
-    if values is not None:
-        body %= tuple(values)
+def _csv(header: list[str], lines, values) -> bytes:
+    """CSV document from a header and %-template lines, filled from
+    ``values`` in order in one pass: floats as %.12g, bools and counts as
+    %d."""
+    body = "\n".join(lines) % tuple(values)
     return f"{','.join(header)}\n{body}\n".encode()
 
 
@@ -353,23 +345,24 @@ def run_path(config: Config):
     (a0, b0), (a1, b1) = pt["start"], pt["end"]
     if not (math.isfinite(a1 - a0) and math.isfinite(b1 - b0)):
         raise ValidationError("path.end", "span from path.start overflows")
-    rows = []
-    jumps = []
+    rows, lines, jumps = [], [], []
     prev_len = None
     for k in range(steps):
         t = k / (steps - 1)
         alpha = a0 + (a1 - a0) * t
         beta = b0 + (b1 - b0) * t
         model = build_model(replace(params, alpha=alpha, beta=beta))
-        span = attractor_span(model, maxN=eng["max_iterations"], eps=eng["eps"])
-        trap = "" if span.trapping is None else span.trapping.invariance_margin
-        rows.append([k, alpha, beta, span.verdict.stratum, span.length,
-                     span.full, trap])
-        if prev_len is not None and abs(span.length - prev_len) > 0.25:
+        res = attractor_span(model, maxN=eng["max_iterations"], eps=eng["eps"])
+        trap = "" if res.trapping is None else res.trapping.invariance_margin
+        length = res.span.length
+        rows.append([k, alpha, beta, res.verdict.stratum, length, res.span.full, trap])
+        lines.append("%d,%.12g,%.12g,%s,%.12g,%d," + ("%s" if trap == "" else "%.12g"))
+        if prev_len is not None and abs(length - prev_len) > 0.25:
             jumps.append(k)
-        prev_len = span.length
+        prev_len = length
     csv_bytes = _csv(["step", "alpha", "beta", "stratum", "span_length",
-                      "span_full", "trap_margin"], map(_line, rows))
+                      "span_full", "trap_margin"], lines,
+                     [v for row in rows for v in row])
     report = {"jump_steps": jumps,
               "first_jump_step": jumps[0] if jumps else None,
               "jump_count": len(jumps)}
@@ -393,7 +386,8 @@ def run_histogram(config: Config):
         samples[i] = x
     counts, edges = np.histogram(samples, bins=h["bins"], range=(0.0, 1.0))
     rows = [[i, edges[i], edges[i + 1], int(c)] for i, c in enumerate(counts)]
-    csv_bytes = _csv(["bin", "lo", "hi", "count"], map(_line, rows))
+    csv_bytes = _csv(["bin", "lo", "hi", "count"], ["%d,%.12g,%.12g,%d"] * len(rows),
+                     [v for row in rows for v in row])
     return rows, csv_bytes
 
 
@@ -493,7 +487,8 @@ def cmd_conjugacy(config: Config) -> dict:
             "other_theta1": other.params.theta1,
             "defect": result.defect, "interp_defect": result.interp_defect,
             "monotone": result.monotone, "pairs": len(result.pairs)},
-        "conjugacy_pairs.csv": _csv(["x", "h_x"], map(_line, result.pairs)),
+        "conjugacy_pairs.csv": _csv(["x", "h_x"], ["%.12g,%.12g"] * len(result.pairs),
+                                    [v for pair in result.pairs for v in pair]),
     }
 
 
@@ -513,6 +508,8 @@ def cmd_histogram(config: Config) -> dict:
 
 
 def cmd_attractor2d(config: Config) -> dict:
+    if config["cloud"]["width"] * config["cloud"]["height"] > MAX_INT:
+        raise ValidationError("cloud.height", f"width x height must not exceed {MAX_INT}")
     skew = build_skew(config.build_model(), **config["skew"])
     cloud = attractor_cloud(skew, **config["cloud"])
     points = cloud.points

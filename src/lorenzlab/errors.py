@@ -44,10 +44,6 @@ class DegenerateArc(PreconditionError):
     """Branch endpoint placement leaves an empty branch."""
 
 
-class AtDiscontinuity(PreconditionError):
-    """Derivative requested at one of the two branch endpoints."""
-
-
 class OnStratum(PreconditionError):
     """A cusp point sits on a homoclinic stratum; the verdict is ambiguous."""
 

@@ -28,12 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circle import circle_dist, dist_ccw, norm1
-from .errors import (
-    AtDiscontinuity,
-    DegenerateArc,
-    ExpansionTooWeak,
-    OnStratum,
-)
+from .errors import DegenerateArc, ExpansionTooWeak, OnStratum
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -77,9 +72,6 @@ class BranchProfile:
 
     def g(self, t: float) -> float:
         return t / self.length + (self.theta / TWO_PI) * math.sin(TWO_PI * t / self.length)
-
-    def dg(self, t: float) -> float:
-        return (1.0 + self.theta * math.cos(TWO_PI * t / self.length)) / self.length
 
     def g_np(self, t):
         return t / self.length + (self.theta / TWO_PI) * np.sin(TWO_PI * t / self.length)
@@ -152,11 +144,6 @@ class MapModel:
         x = np.asarray(x, dtype=float)
         q, start, profile = branch_lanes(self, x >= self.c_minus)
         return (q + profile.g_np(x - start)) % 1.0
-
-    def deriv_np(self, x):
-        x = np.asarray(x, dtype=float)
-        _, start, profile = branch_lanes(self, x >= self.c_minus)
-        return profile.dg_np(x - start)
 
     def on_discontinuity(self, x: float) -> float | None:
         """Return the discontinuity (0 or c-) that x sits within SNAP of, if any:
@@ -306,15 +293,6 @@ def eval_signed(model: MapModel, sp: SignedPoint) -> SignedPoint:
     if disc == 0.0:
         return SignedPoint(model.q1 if sp.side == PLUS else model.q2, sp.side)
     return SignedPoint(model.q2 if sp.side == PLUS else model.q1, sp.side)
-
-
-def derivative(model: MapModel, p: float) -> float:
-    x = norm1(p)
-    if circle_dist(x, 0.0) <= 1e-12 or circle_dist(x, model.c_minus) <= 1e-12:
-        raise AtDiscontinuity(f"derivative undefined at x={x}")
-    if x < model.c_minus:
-        return model.profile1.dg(x)
-    return model.profile2.dg(x - model.c_minus)
 
 
 def inverse_branch(model: MapModel, branch: int, y: float) -> float | None:

@@ -144,6 +144,17 @@ def test_cloud_depth_guard():
         attractor_cloud(SK, depth=17, samples=10)
 
 
+@pytest.mark.parametrize("seed_arc,cusp", [
+    (Arc(0.5 - 5e-10, 0.5 - 4e-10), 0.3),   # within SNAP left of c-: onto q2
+    (Arc(1.0 - 5e-10, 1.0 - 4e-10), 0.6),   # within SNAP left of c+: onto q1
+])
+def test_cloud_nudge_crosses_discontinuity(seed_arc, cusp):
+    # a sample within SNAP of a discontinuity steps across it, as the
+    # histogram orbit does, and lands near the cusp of the far branch
+    cloud = attractor_cloud(SK, depth=1, samples=1, burn_in=0, seed_arc=seed_arc)
+    assert circle_dist(cloud.points[0, 0], cusp) < 1e-6
+
+
 def test_cloud_two_sided_meets_both_fibers():
     sk = build_skew(M(0.25, 0.75), 0.2)
     cloud = attractor_cloud(sk, depth=12, samples=2000, seed=5)

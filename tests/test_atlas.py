@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from lorenzlab import atlas
 from lorenzlab.atlas import (
@@ -23,7 +23,8 @@ from lorenzlab.errors import (
     NoTrappingInterval,
     PreconditionError,
 )
-from lorenzlab.maps import PHI, ModelParams, branch_fixed_point, build_model
+from lorenzlab.maps import PHI, SNAP, ModelParams, branch_fixed_point, build_model
+from test_symbolic import random_models
 
 
 def M(alpha, beta, **kw):
@@ -106,6 +107,28 @@ def test_classify_grid_matches_classify(c_minus, theta1, theta2, a_range,
         assume(False)
     _grid_matches_classify(params, _sweep_axis(*a_range, nx),
                            _sweep_axis(*b_range, ny))
+
+
+# random_models puts cusps on and near the loci on purpose: those draws have
+# no margin to test and are filtered out
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(random_models(), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+def test_classify_stable_within_margin(model, u, v):
+    # moving a cusp by delta moves the other branch's fixed point by up to
+    # delta / (lambda - 1), so a heteroclinic distance moves by up to
+    # delta * lambda / (lambda - 1); a stratum begins SNAP from its locus
+    verdict = classify(model)
+    assume(verdict.margin > 1e-6)
+    lam = model.lambda_min
+    room = 0.999 * (verdict.margin - SNAP) * (lam - 1.0) / lam
+    p = model.params
+    moved = replace(p, alpha=p.alpha + u * room, beta=p.beta + v * room)
+    assert classify(build_model(moved)).stratum == verdict.stratum
+    # every cell of the 3x3 grid spanning +-room around the point
+    strata, _ = classify_grid(p, [p.alpha + k * room for k in (-1, 0, 1)],
+                              [p.beta + k * room for k in (-1, 0, 1)])
+    assert {atlas.STRATA[k] for k in strata.ravel()} == {verdict.stratum}
 
 
 @pytest.mark.parametrize("c", [0.5, 0.45])
@@ -348,18 +371,18 @@ def test_horseshoe_rejects_both_discontinuities():
 
 def test_span_up_lorenz():
     s = attractor_span(M(0.707, 0.30))
-    assert not s.full
+    assert not s.span.full
     assert s.span.start == pytest.approx(0.707, abs=1e-6)
     assert s.span.end == pytest.approx(0.30, abs=1e-6)
-    assert s.length == pytest.approx(0.593, abs=1e-3)
+    assert s.span.length == pytest.approx(0.593, abs=1e-3)
 
 
 def test_span_two_sided():
     s = attractor_span(M(0.25, 0.75))
-    assert s.full and s.length == 1.0
+    assert s.span.full and s.span.length == 1.0
 
 
 def test_span_fat_lorenz():
     s = attractor_span(M(0.5, 0.5))
-    assert s.full
-    assert any(circle_dist(p, 0.5) < 1e-9 for p in s.missed_points)
+    assert s.span.full
+    assert any(circle_dist(p, 0.5) < 1e-9 for p in s.certificate.missed_points)

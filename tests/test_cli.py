@@ -109,7 +109,7 @@ def test_sweep_degenerate_band():
 
 def _row_wise_sweep(config):
     """The sweep emitter as it was written row by row: every CSV field
-    through one ``_fmt`` call, every pixel through one palette lookup."""
+    through one ``fmt`` call, every pixel through one palette lookup."""
     def fmt(v):
         if isinstance(v, bool):
             return "1" if v else "0"
@@ -288,6 +288,14 @@ BAD_INPUTS = [
     # sizes whose first array cannot be allocated
     ("histogram", '{"histogram": {"orbit_length": 1000000000000000}}', 4),
     ("attractor2d", '{"cloud": {"samples": 1000000000000000}}', 4),
+    # integers above 2**53 - 1, and a raster of more cells than that
+    ("histogram", '{"histogram": {"orbit_length": 100000000000000000000}}', 2),
+    ("attractor2d", '{"cloud": {"samples": 100000000000000000000}}', 2),
+    ("attractor2d", '{"cloud": {"width": 100000000000000000000}}', 2),
+    ("attractor2d", '{"cloud": {"width": 1000000000000, "height": 1000000000000}}', 2),
+    ("conjugacy", '{"conjugacy": {"grid": 100000000000000000000}}', 2),
+    ("verify", '{"eigenvalues": {"N": 100000000000000000000}}', 2),
+    ("sweep", '{"sweep": {"grid_nx": 100000000000000000000}}', 2),
 ]
 
 

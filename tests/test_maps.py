@@ -6,12 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from lorenzlab.circle import circle_dist, norm1
-from lorenzlab.errors import (
-    AtDiscontinuity,
-    DegenerateArc,
-    ExpansionTooWeak,
-    OnStratum,
-)
+from lorenzlab.errors import DegenerateArc, ExpansionTooWeak, OnStratum
 from lorenzlab.maps import (
     PHI,
     ROOT_TOL,
@@ -25,9 +20,9 @@ from lorenzlab.maps import (
     _bisect_lift,
     bisect_increasing,
     bisect_increasing_np,
+    branch_lanes,
     build_model,
     check_singularity_conditions,
-    derivative,
     eval_signed,
     fixed_points,
     inverse_branch,
@@ -83,18 +78,18 @@ def test_eval_automaton():
 
 
 def test_derivative_values():
-    assert derivative(M0, 0.25) == pytest.approx(1.7, abs=1e-12)
-    assert derivative(M0, 0.75) == pytest.approx(2.0, abs=1e-12)
-    assert derivative(M0, 0.125) == pytest.approx(2.0, abs=1e-12)
-    with pytest.raises(AtDiscontinuity):
-        derivative(M0, 0.5)
+    # f'(x) is the slope of x's branch profile at its offset from the branch start
+    assert M0.profile1.dg_np(0.25) == pytest.approx(1.7, abs=1e-12)
+    assert M0.profile2.dg_np(0.75 - 0.5) == pytest.approx(2.0, abs=1e-12)
+    assert M0.profile1.dg_np(0.125) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_derivative_above_phi():
     rng = np.random.default_rng(5)
     xs = rng.uniform(1e-6, 1 - 1e-6, 100_000)
     xs = xs[np.abs(xs - 0.5) > 1e-9]
-    assert float(M0.deriv_np(xs).min()) > PHI
+    _, start, profile = branch_lanes(M0, xs >= M0.c_minus)
+    assert float(profile.dg_np(xs - start).min()) > PHI
 
 
 def test_inverse_branch():
