@@ -11,6 +11,7 @@ attractor leaf spans.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -41,7 +42,6 @@ from .maps import (
     ModelParams,
     branch_fixed_point,
     build_model,
-    fixed_points,
     inverse_branch,
 )
 
@@ -59,6 +59,7 @@ DEGENERATE = "Degenerate"
 
 STRATA = (O_MM, O_PM, O_MP, O_PP_LPLUS, O_PP_LMINUS, O_PP_TILDE,
           H1P, H1M, H2P, H2M, H12P, H12M, HE1, HE2, HE1_AND_HE2, DEGENERATE)
+HOMOCLINIC = (H1P, H1M, H2P, H2M, H12P, H12M)
 
 # dynamics labels
 TWO_SIDED = "TwoSided"
@@ -89,93 +90,37 @@ class RegionVerdict:
     sigma_minus: Arc | None = None
 
 
-def classify(model: MapModel) -> RegionVerdict:
-    """Stratum label, dynamical verdict, and margin to the nearest stratum.
-
-    Homoclinic strata are detected first (cusp within SNAP of a
-    discontinuity), then the fixed points decide the quadrant; in the
-    doubly-fixed quadrant the heteroclinic loci (cusp within SNAP of the
-    other branch's fixed point) are checked and the cusps are located
-    relative to the two components cut out by the fixed points.  SNAP is
-    also the distance at which ``fixed_points`` refuses a homoclinic cusp,
-    so that refusal is never reached from here.
-    """
-    c = model.c_minus
-    d1p, d1m = circle_dist(model.q1, 0.0), circle_dist(model.q1, c)
-    d2p, d2m = circle_dist(model.q2, 0.0), circle_dist(model.q2, c)
-    h_dists = [d1p, d1m, d2p, d2m]
-    on1 = min(d1p, d1m) <= SNAP
-    on2 = min(d2p, d2m) <= SNAP
-
-    if on1 or on2:
-        margin = min(h_dists)
-        if on1 and on2:
-            if d1p <= SNAP and d2p <= SNAP:
-                stratum = H12P
-            elif d1m <= SNAP and d2m <= SNAP:
-                stratum = H12M
-            else:
-                # mixed double loop: inside H1 off the same-side codim-2 loci,
-                # so the single-loop two-sided verdict applies
-                stratum = H1P if d1p <= SNAP else H1M
-        elif on1:
-            stratum = H1P if d1p <= SNAP else H1M
-        else:
-            stratum = H2P if d2p <= SNAP else H2M
-        return RegionVerdict(stratum, margin, STRATUM_DYNAMICS[stratum])
-
-    fp = fixed_points(model)
-    omega1 = "+" if model.q1 > c else "-"
-    omega2 = "+" if model.q2 < c else "-"
-
-    if omega1 == "-" or omega2 == "-":
-        stratum = {"--": O_MM, "+-": O_PM, "-+": O_MP}[omega1 + omega2]
-        return RegionVerdict(stratum, min(h_dists), STRATUM_DYNAMICS[stratum],
-                             p1=fp.p1, p2=fp.p2)
-
-    he1_d = circle_dist(model.q1, fp.p2)
-    he2_d = circle_dist(model.q2, fp.p1)
-    margin = min(h_dists + [he1_d, he2_d])
-    sp, sm = Arc(fp.p2, fp.p1), Arc(fp.p1, fp.p2)
-
-    if he1_d <= SNAP and he2_d <= SNAP:
-        symmetric = (model.params.theta1 == model.params.theta2
-                     and abs(model.c_minus - 0.5) <= SNAP)
-        stratum = DEGENERATE if symmetric else HE1_AND_HE2
-    elif he1_d <= SNAP:
-        stratum = HE1
-    elif he2_d <= SNAP:
-        stratum = HE2
-    else:
-        q1_plus = arc_contains(sp, model.q1)
-        q2_plus = arc_contains(sp, model.q2)
-        if q1_plus and q2_plus:
-            stratum = O_PP_LPLUS
-        elif not q1_plus and not q2_plus:
-            stratum = O_PP_LMINUS
-        else:
-            stratum = O_PP_TILDE
-    return RegionVerdict(stratum, margin, STRATUM_DYNAMICS[stratum],
-                         p1=fp.p1, p2=fp.p2, sigma_plus=sp, sigma_minus=sm)
-
-
 def classify_grid(params: ModelParams, alphas, betas):
-    """Strata and margins of ``classify`` over the grid alphas x betas.
+    """Stratum label, margin to the nearest stratum and fixed points of the
+    models at (alphas, betas), broadcast against each other.
 
-    Returns (stratum, margin), two ny x nx arrays: row j, column i is the
-    model at (alphas[i], betas[j]); stratum holds indices into STRATA and
-    margin is float64.  Both equal ``classify`` on every cell, bit for bit.
-    p1 reads only alpha and p2 only beta, so the grid takes nx + ny
-    fixed-point solves; the rest of ``classify`` runs elementwise.
+    A row of alphas and a column of betas give a sweep grid; two vectors of
+    equal length give a path.  Returns (stratum, margin, p1, p2), float64
+    arrays of the broadcast shape except stratum, which holds indices into
+    STRATA; a missing fixed point is NaN.  p1 reads only alpha and p2 only
+    beta, so each is solved once per element of its input.
+
+    The rule, first match wins: a cusp within SNAP of a discontinuity is
+    homoclinic (H12 when both cusps sit on the same one, else H1 before H2).
+    Otherwise the fixed points decide the quadrant, and in the doubly-fixed
+    quadrant the heteroclinic loci (a cusp within SNAP of the other branch's
+    fixed point) come next; off them the cusps are located relative to the
+    two components sigma+ = (p2, p1) and sigma- = (p1, p2) that the fixed
+    points cut out.  The margin is the least cusp-to-discontinuity distance,
+    and off the homoclinic loci in the doubly-fixed quadrant also the least
+    heteroclinic distance.  SNAP is also the distance at which
+    ``maps.fixed_points`` refuses a homoclinic cusp, so that refusal is never
+    reached from here.
     """
     c = params.c_minus
-    cols = [build_model(replace(params, alpha=a)) for a in alphas]
-    rows = [build_model(replace(params, beta=b)) for b in betas]
-    # a missing fixed point (None) becomes NaN; only ++ cells read p1, p2
-    q1 = np.array([m.q1 for m in cols])
-    p1 = np.array([branch_fixed_point(m, 1) for m in cols], dtype=float)
-    q2 = np.array([m.q2 for m in rows])[:, None]
-    p2 = np.array([branch_fixed_point(m, 2) for m in rows], dtype=float)[:, None]
+    alphas, betas = np.asarray(alphas, dtype=float), np.asarray(betas, dtype=float)
+    cols = [build_model(replace(params, alpha=a)) for a in alphas.ravel().tolist()]
+    rows = [build_model(replace(params, beta=b)) for b in betas.ravel().tolist()]
+    # a missing fixed point (None) becomes NaN; only the ++ cases read p1, p2
+    q1 = np.array([m.q1 for m in cols]).reshape(alphas.shape)
+    p1 = np.array([branch_fixed_point(m, 1) for m in cols], dtype=float).reshape(alphas.shape)
+    q2 = np.array([m.q2 for m in rows]).reshape(betas.shape)
+    p2 = np.array([branch_fixed_point(m, 2) for m in rows], dtype=float).reshape(betas.shape)
 
     d1p, d1m = circle_dist_np(q1, 0.0), circle_dist_np(q1, c)
     d2p, d2m = circle_dist_np(q2, 0.0), circle_dist_np(q2, c)
@@ -192,7 +137,8 @@ def classify_grid(params: ModelParams, alphas, betas):
     in2 = (TOL < d) & (d < sp_len - TOL)
     symmetric = params.theta1 == params.theta2 and abs(c - 0.5) <= SNAP
 
-    # the branches of ``classify``, in its order: first match wins
+    # a mixed double loop (each cusp on a different discontinuity) lies in H1
+    # off the same-side codimension-2 loci, so H1's two-sided verdict applies
     cases = [
         (h1p & h2p, H12P), (h1m & h2m, H12M), (h1p, H1P), (h1m, H1M),
         (h2p, H2P), (h2m, H2M),
@@ -209,7 +155,32 @@ def classify_grid(params: ModelParams, alphas, betas):
     pp_margin = np.minimum(h_margin, np.minimum(he1_d, he2_d))
     on_h = h1p | h1m | h2p | h2m
     margin = np.where(plus1 & plus2 & ~on_h, pp_margin, h_margin)
-    return stratum, margin
+    return (stratum, margin, np.broadcast_to(p1, stratum.shape),
+            np.broadcast_to(p2, stratum.shape))
+
+
+def region_verdicts(grid) -> list[RegionVerdict]:
+    """The RegionVerdict of every cell of a ``classify_grid`` result, in
+    row-major order.  Homoclinic cells carry no fixed points, the other
+    two-sided quadrants carry p1 and p2 (None where missing), and the ++
+    cells also carry sigma+ = (p2, p1) and sigma- = (p1, p2)."""
+    verdicts = []
+    for k, margin, p1, p2 in zip(*(a.ravel().tolist() for a in grid)):
+        label = STRATA[k]
+        v = RegionVerdict(label, margin, STRATUM_DYNAMICS[label])
+        if label not in HOMOCLINIC:
+            v.p1, v.p2 = (None if math.isnan(p) else p for p in (p1, p2))
+            if label not in (O_MM, O_PM, O_MP):
+                v.sigma_plus, v.sigma_minus = Arc(p2, p1), Arc(p1, p2)
+        verdicts.append(v)
+    return verdicts
+
+
+def classify(model: MapModel) -> RegionVerdict:
+    """Stratum label, dynamical verdict, margin to the nearest stratum and
+    fixed points of one model: ``classify_grid`` on its one cell."""
+    p = model.params
+    return region_verdicts(classify_grid(p, p.alpha, p.beta))[0]
 
 
 @dataclass(frozen=True)
@@ -453,7 +424,8 @@ class SpanResult:
     trapping: TrappingCertificate | None
 
 
-def attractor_span(model: MapModel, maxN: int = 60, eps: float = 1e-3) -> SpanResult:
+def attractor_span(model: MapModel, maxN: int = 60, eps: float = 1e-3,
+                   verdict: RegionVerdict | None = None) -> SpanResult:
     """Smallest arc of stable leaves met by the attractor.
 
     Seeds a short arc at the cusp q1 and runs the segment engine, confined to
@@ -462,7 +434,7 @@ def attractor_span(model: MapModel, maxN: int = 60, eps: float = 1e-3) -> SpanRe
     span is the complement of the largest gap left in the accumulated union,
     and a full ``span`` means every gap has shrunk below the engine resolution.
     """
-    v = classify(model)
+    v = verdict if verdict is not None else classify(model)
     trap = trapping_interval(model, v) if v.dynamics in (UP_LORENZ, DOWN_LORENZ) else None
     confine = None if trap is None else trap.R_L
     delta = 1e-3

@@ -30,7 +30,7 @@ from .annulus import (
     leaf_span_2d,
     verify_cones,
 )
-from .atlas import attractor_span, classify, classify_grid
+from .atlas import attractor_span, classify, classify_grid, region_verdicts
 from .circle import Arc, norm1
 from .errors import (
     BudgetError,
@@ -310,18 +310,20 @@ def run_sweep(config: Config):
     nx, ny = sw["grid_nx"], sw["grid_ny"]
     a_lo, a_hi = sw["alpha_range"]
     b_lo, b_hi = sw["beta_range"]
-    alphas = [a_lo + (a_hi - a_lo) * i / (nx - 1) for i in range(nx)]
-    betas = [b_lo + (b_hi - b_lo) * j / (ny - 1) for j in range(ny)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        # an overflowing range gives inf or NaN values, a config error below
+        alphas = a_lo + (a_hi - a_lo) * np.arange(nx, dtype=float) / (nx - 1)
+        betas = b_lo + (b_hi - b_lo) * np.arange(ny, dtype=float) / (ny - 1)
     for field, values in (("sweep.alpha_range", alphas), ("sweep.beta_range", betas)):
-        if not all(map(math.isfinite, values)):
+        if not np.isfinite(values).all():
             raise ValidationError(field, "grid values overflow; narrow the range")
     lambda_min = build_model(params).lambda_min
-    strata, margins = classify_grid(params, alphas, betas)
+    strata, margins, _, _ = classify_grid(params, alphas, betas[:, None])
     # alpha and lambda_min are formatted into the row template once, beta once
     # per grid row, stratum,dynamics once per stratum, the margin per cell
     lam = f"{lambda_min:.12g}"
-    row = [f"{a:.12g},%s,%s,%.12g,{lam}" for a in alphas]
-    beta_texts = [f"{b:.12g}" for b in betas]
+    row = [f"{a:.12g},%s,%s,%.12g,{lam}" for a in alphas.tolist()]
+    beta_texts = [f"{b:.12g}" for b in betas.tolist()]
     classes = [f"{label},{atlas.STRATUM_DYNAMICS[label]}" for label in atlas.STRATA]
     cells = [None] * (3 * nx * ny)
     cells[0::3] = [text for text in beta_texts for _ in range(nx)]
@@ -335,8 +337,9 @@ def run_sweep(config: Config):
 def run_path(config: Config):
     """Classify and measure the attractor span along a parameter segment.
 
-    Emits one CSV row per step and reports every step where the span length
-    jumps by more than 0.25 (the collision detector).
+    Every step is classified by one ``classify_grid`` call.  Emits one CSV
+    row per step and reports every step where the span length jumps by more
+    than 0.25 (the collision detector).
     """
     pt = config["path"]
     eng = config["engine"]
@@ -345,14 +348,16 @@ def run_path(config: Config):
     (a0, b0), (a1, b1) = pt["start"], pt["end"]
     if not (math.isfinite(a1 - a0) and math.isfinite(b1 - b0)):
         raise ValidationError("path.end", "span from path.start overflows")
+    t = np.arange(steps, dtype=float) / (steps - 1)
+    alphas, betas = a0 + (a1 - a0) * t, b0 + (b1 - b0) * t
+    verdicts = region_verdicts(classify_grid(params, alphas, betas))
     rows, lines, jumps = [], [], []
     prev_len = None
-    for k in range(steps):
-        t = k / (steps - 1)
-        alpha = a0 + (a1 - a0) * t
-        beta = b0 + (b1 - b0) * t
+    for k, (alpha, beta, verdict) in enumerate(zip(alphas.tolist(), betas.tolist(),
+                                                   verdicts)):
         model = build_model(replace(params, alpha=alpha, beta=beta))
-        res = attractor_span(model, maxN=eng["max_iterations"], eps=eng["eps"])
+        res = attractor_span(model, maxN=eng["max_iterations"], eps=eng["eps"],
+                             verdict=verdict)
         trap = "" if res.trapping is None else res.trapping.invariance_margin
         length = res.span.length
         rows.append([k, alpha, beta, res.verdict.stratum, length, res.span.full, trap])
@@ -582,8 +587,10 @@ def main(argv=None) -> int:
         print(f"precondition error: {exc}", file=sys.stderr)
         return 3
     except (BudgetError, MemoryError) as exc:
-        # numpy raises MemoryError for a size it cannot allocate at once
-        print(f"budget exceeded: {exc}", file=sys.stderr)
+        # numpy raises MemoryError for a size it cannot allocate at once;
+        # itertools.product raises one without a message
+        reason = str(exc) or "cannot allocate the arrays this config asks for"
+        print(f"budget exceeded: {reason}", file=sys.stderr)
         return 4
     print(f"{args.command}: wrote outputs to {args.out}")
     return 0

@@ -9,11 +9,13 @@ from lorenzlab.atlas import (
     _clearance,
     STRATUM_DYNAMICS,
     attractor_span,
+    RegionVerdict,
     classify,
     classify_grid,
     golden_bound,
     horseshoe_certificate,
     iterate_segments,
+    region_verdicts,
     trapping_interval,
 )
 from lorenzlab.circle import Arc, arc_contains, circle_dist
@@ -23,7 +25,14 @@ from lorenzlab.errors import (
     NoTrappingInterval,
     PreconditionError,
 )
-from lorenzlab.maps import PHI, SNAP, ModelParams, branch_fixed_point, build_model
+from lorenzlab.maps import (
+    PHI,
+    SNAP,
+    ModelParams,
+    branch_fixed_point,
+    build_model,
+    fixed_points,
+)
 from test_symbolic import random_models
 
 
@@ -35,6 +44,80 @@ M0 = M(0.6, 0.3)
 
 
 # --- classification --------------------------------------------------------
+
+def classify_reference(model):
+    """The stratum rule stated branch by branch on one model: the reference
+    that ``classify_grid`` (and so ``classify``) is checked against.
+
+    Homoclinic strata are detected first (cusp within SNAP of a
+    discontinuity), then the fixed points decide the quadrant; in the
+    doubly-fixed quadrant the heteroclinic loci (cusp within SNAP of the
+    other branch's fixed point) are checked and the cusps are located
+    relative to the two components cut out by the fixed points.
+    """
+    c = model.c_minus
+    d1p, d1m = circle_dist(model.q1, 0.0), circle_dist(model.q1, c)
+    d2p, d2m = circle_dist(model.q2, 0.0), circle_dist(model.q2, c)
+    h_dists = [d1p, d1m, d2p, d2m]
+    on1 = min(d1p, d1m) <= SNAP
+    on2 = min(d2p, d2m) <= SNAP
+
+    if on1 or on2:
+        margin = min(h_dists)
+        if on1 and on2:
+            if d1p <= SNAP and d2p <= SNAP:
+                stratum = atlas.H12P
+            elif d1m <= SNAP and d2m <= SNAP:
+                stratum = atlas.H12M
+            else:
+                # mixed double loop: inside H1 off the same-side codim-2 loci,
+                # so the single-loop two-sided verdict applies
+                stratum = atlas.H1P if d1p <= SNAP else atlas.H1M
+        elif on1:
+            stratum = atlas.H1P if d1p <= SNAP else atlas.H1M
+        else:
+            stratum = atlas.H2P if d2p <= SNAP else atlas.H2M
+        return RegionVerdict(stratum, margin, STRATUM_DYNAMICS[stratum])
+
+    fp = fixed_points(model)
+    omega1 = "+" if model.q1 > c else "-"
+    omega2 = "+" if model.q2 < c else "-"
+
+    if omega1 == "-" or omega2 == "-":
+        stratum = {"--": atlas.O_MM, "+-": atlas.O_PM, "-+": atlas.O_MP}[omega1 + omega2]
+        return RegionVerdict(stratum, min(h_dists), STRATUM_DYNAMICS[stratum],
+                             p1=fp.p1, p2=fp.p2)
+
+    he1_d = circle_dist(model.q1, fp.p2)
+    he2_d = circle_dist(model.q2, fp.p1)
+    margin = min(h_dists + [he1_d, he2_d])
+    sp, sm = Arc(fp.p2, fp.p1), Arc(fp.p1, fp.p2)
+
+    if he1_d <= SNAP and he2_d <= SNAP:
+        symmetric = (model.params.theta1 == model.params.theta2
+                     and abs(model.c_minus - 0.5) <= SNAP)
+        stratum = atlas.DEGENERATE if symmetric else atlas.HE1_AND_HE2
+    elif he1_d <= SNAP:
+        stratum = atlas.HE1
+    elif he2_d <= SNAP:
+        stratum = atlas.HE2
+    else:
+        q1_plus = arc_contains(sp, model.q1)
+        q2_plus = arc_contains(sp, model.q2)
+        if q1_plus and q2_plus:
+            stratum = atlas.O_PP_LPLUS
+        elif not q1_plus and not q2_plus:
+            stratum = atlas.O_PP_LMINUS
+        else:
+            stratum = atlas.O_PP_TILDE
+    return RegionVerdict(stratum, margin, STRATUM_DYNAMICS[stratum],
+                         p1=fp.p1, p2=fp.p2, sigma_plus=sp, sigma_minus=sm)
+
+
+def _same_verdict(got, want):
+    """Whole verdicts equal, and the margin bit for bit."""
+    return got == want and got.margin.hex() == want.margin.hex()
+
 
 CLASSIFY_CASES = [
     ((0.25, 0.75), atlas.O_MM, atlas.TWO_SIDED),
@@ -74,16 +157,19 @@ def test_classify_degenerate_symmetric():
 # --- grid classification ---------------------------------------------------
 
 def _grid_matches_classify(params, alphas, betas):
-    """Assert classify_grid equals scalar classify on every cell, bit for bit;
+    """Assert classify_grid over the row alphas and the column betas equals
+    the reference on every cell, whole verdicts and margins bit for bit;
     return the set of strata seen."""
-    strata, margins = classify_grid(params, alphas, betas)
-    assert strata.shape == margins.shape == (len(betas), len(alphas))
+    grid = classify_grid(params, alphas, np.array(betas)[:, None])
+    strata, margins, p1, p2 = grid
+    shape = (len(betas), len(alphas))
+    assert strata.shape == margins.shape == p1.shape == p2.shape == shape
     assert margins.dtype == np.float64
-    for j, b in enumerate(betas):
-        for i, a in enumerate(alphas):
-            v = classify(build_model(replace(params, alpha=a, beta=b)))
-            got = (atlas.STRATA[strata[j, i]], float(margins[j, i]).hex())
-            assert got == (v.stratum, v.margin.hex()), (a, b)
+    cells = iter(region_verdicts(grid))
+    for b in betas:
+        for a in alphas:
+            want = classify_reference(build_model(replace(params, alpha=a, beta=b)))
+            assert _same_verdict(next(cells), want), (a, b)
     return {atlas.STRATA[k] for k in strata.ravel()}
 
 
@@ -126,9 +212,40 @@ def test_classify_stable_within_margin(model, u, v):
     moved = replace(p, alpha=p.alpha + u * room, beta=p.beta + v * room)
     assert classify(build_model(moved)).stratum == verdict.stratum
     # every cell of the 3x3 grid spanning +-room around the point
-    strata, _ = classify_grid(p, [p.alpha + k * room for k in (-1, 0, 1)],
-                              [p.beta + k * room for k in (-1, 0, 1)])
+    strata, *_ = classify_grid(p, [p.alpha + k * room for k in (-1, 0, 1)],
+                               [[p.beta + k * room] for k in (-1, 0, 1)])
     assert {atlas.STRATA[k] for k in strata.ravel()} == {verdict.stratum}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(random_models())
+def test_classify_matches_reference(model):
+    # p1, p2 and the sigma arcs too, which the stratum and margin do not show
+    assert _same_verdict(classify(model), classify_reference(model))
+
+
+# the README collision path at 401 steps, and a path through the double
+# heteroclinic point that switches from L- to L+ across HE1andHE2
+PATHS = {"collision": ((0.77, 0.22), (0.79, 0.22), 401),
+         "switch": ((0.754, 0.2458), (0.746, 0.2542), 21)}
+
+
+@pytest.mark.parametrize("theta1", [0.15, 0.19])
+@pytest.mark.parametrize("path", sorted(PATHS))
+def test_classify_grid_on_path_matches_reference(path, theta1):
+    (a0, b0), (a1, b1), steps = PATHS[path]
+    ts = [k / (steps - 1) for k in range(steps)]
+    alphas = [a0 + (a1 - a0) * t for t in ts]
+    betas = [b0 + (b1 - b0) * t for t in ts]
+    params = ModelParams(a0, b0, theta1=theta1)
+    got = region_verdicts(classify_grid(params, alphas, betas))
+    assert len(got) == steps
+    for v, a, b in zip(got, alphas, betas):
+        want = classify_reference(build_model(replace(params, alpha=a, beta=b)))
+        assert _same_verdict(v, want), (a, b)
+    if path == "switch":
+        assert [v.stratum for v in got] == (
+            [atlas.O_PP_LMINUS] * 10 + [atlas.HE1_AND_HE2] + [atlas.O_PP_LPLUS] * 10)
 
 
 @pytest.mark.parametrize("c", [0.5, 0.45])

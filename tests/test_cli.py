@@ -125,7 +125,8 @@ def _row_wise_sweep(config):
     alphas = [a_lo + (a_hi - a_lo) * i / (nx - 1) for i in range(nx)]
     betas = [b_lo + (b_hi - b_lo) * j / (ny - 1) for j in range(ny)]
     lambda_min = config.build_model().lambda_min
-    strata, margins = atlas.classify_grid(params, alphas, betas)
+    strata, margins, _, _ = atlas.classify_grid(params, alphas,
+                                                np.array(betas)[:, None])
     labels = [[atlas.STRATA[k] for k in row] for row in strata.tolist()]
     rows = [[a, b, label, atlas.STRATUM_DYNAMICS[label], m, lambda_min]
             for b, label_row, margin_row in zip(betas, labels, margins.tolist())
@@ -173,6 +174,19 @@ def test_path_collision_detector_fires_once():
             assert isinstance(r[6], float) and r[6] > 0
         else:
             assert r[6] == ""
+
+
+def test_path_steps_match_scalar_parametrization():
+    # the step vectors keep the scalar expression order, so every step's
+    # (alpha, beta) equals a0 + (a1 - a0) * (k / (steps - 1)) bit for bit;
+    # a path that wraps the circle, where k * (1 / (steps - 1)) would differ
+    (a0, b0), (a1, b1), steps = (-1.3, 0.3), (2.1, 0.7), 101
+    cfg = load(path={"start": [a0, b0], "end": [a1, b1], "steps": steps})
+    rows, _, _ = cli.run_path(cfg)
+    for k, row in enumerate(rows):
+        t = k / (steps - 1)
+        assert (row[1].hex(), row[2].hex()) == ((a0 + (a1 - a0) * t).hex(),
+                                                (b0 + (b1 - b0) * t).hex())
 
 
 def test_path_no_jump_inside_open_region():
@@ -296,9 +310,15 @@ BAD_INPUTS = [
     ("conjugacy", '{"conjugacy": {"grid": 100000000000000000000}}', 2),
     ("verify", '{"eigenvalues": {"N": 100000000000000000000}}', 2),
     ("sweep", '{"sweep": {"grid_nx": 100000000000000000000}}', 2),
+    # within the cap, but too large to allocate: one array up front, no loop
+    ("verify", '{"eigenvalues": {"N": 9007199254740991}}', 4),   # bare MemoryError
+    ("sweep", '{"sweep": {"grid_nx": 1000000000000000}}', 4),
+    ("path", '{"path": {"steps": 1000000000000000}}', 4),
 ]
 
 
+# a warning would print a second stderr line
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("command,text,code", BAD_INPUTS)
 def test_main_bad_input_exits_cleanly(command, text, code, tmp_path, capsys,
                                      monkeypatch):
@@ -314,6 +334,8 @@ def test_main_bad_input_exits_cleanly(command, text, code, tmp_path, capsys,
     assert cli.main(argv) == code
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
+    # the line names the error kind and then says what went wrong
+    assert err.partition(": ")[2].strip()
 
 
 @pytest.mark.parametrize("exc", [NotMarkov("strip not crossed"),
