@@ -355,63 +355,36 @@ class HorseshoeCertificate:
     orientations: tuple[int, int]
 
 
-def _arc_covers(outer: Arc, inner: Arc) -> float:
-    """Smallest one-sided margin by which outer contains closure(inner), or a
-    negative number when it fails."""
-    left = dist_ccw(outer.start, inner.start)
-    right = dist_ccw(inner.end, outer.end)
-    if left + inner.length + right > outer.length + 1e-9:
-        return -1.0
-    return min(left, right)
-
-
 def horseshoe_certificate(model: MapModel, R_H: Arc) -> HorseshoeCertificate:
-    """Markov crossing certificate for the complementary strip.
+    """Exact Markov crossing certificate for the complementary strip.
 
-    R_H must contain exactly one discontinuity; the two halves on either side
-    of it must each map across the closed strip with positive margin, both
-    preserving orientation (the fake-horseshoe signature), and the one-sided
-    images of the contained discontinuity must escape the strip.
+    R_H must contain exactly one discontinuity d.  The halves on either side
+    of d map through ``_branch_images``, the rule of ``_clearance``, onto
+    arcs that end at their branches' cusps, both preserving orientation (the
+    fake-horseshoe signature).  A crossing margin is the least overhang of
+    such an image past the ends of R_H; positive margins also put both
+    cusps, the one-sided images of d, outside the closed strip.
     """
-    c = model.c_minus
-    has_minus = arc_contains(R_H, c)
-    has_plus = arc_contains(R_H, 0.0)
-    if has_minus == has_plus:
+    has_minus = arc_contains(R_H, model.c_minus)
+    if has_minus == arc_contains(R_H, 0.0):
         raise PreconditionError(
             "horseshoe strip must contain exactly one discontinuity")
-    pivot = c if has_minus else 0.0
-
-    # halves of R_H; the one inside branch 1 is I_A
-    first = Arc(R_H.start, pivot)
-    second = Arc(pivot, R_H.end)
-    if has_minus:
-        I_A, I_B = first, second
-    else:
-        I_B, I_A = first, second
-
-    def image(piece: Arc, branch: int) -> Arc:
-        # endpoints through the lift give the correct one-sided cusp limits
-        s = piece.start
-        e = piece.end if piece.end > s else 1.0
-        return Arc(norm1(model.lift(branch, s)), norm1(model.lift(branch, e)))
-
-    img_A = image(I_A, 1)
-    img_B = image(I_B, 2)
-    m_A = _arc_covers(img_A, R_H)
-    m_B = _arc_covers(img_B, R_H)
-    if m_A <= 0.0 or m_B <= 0.0:
-        raise NotMarkov(f"crossing margins ({m_A:.3g}, {m_B:.3g}) not positive")
-
-    # the pivot's one-sided images are the cusps; both must leave the strip
-    closed = Arc(R_H.start, R_H.end)
-    for q in (model.q1, model.q2):
-        d = dist_ccw(closed.start, q)
-        if -1e-12 <= d <= closed.length + 1e-12:
-            raise NotMarkov("discontinuity image does not escape the strip")
-
-    return HorseshoeCertificate(R_H=R_H, I_A=I_A, I_B=I_B,
-                                crossing_margins=(m_A, m_B),
-                                orientations=(1, 1))
+    margins = []
+    for lo, hi in linear_pieces(R_H):
+        for start, length in _branch_images(model, lo, hi):
+            u = dist_ccw(start, R_H.start)
+            margins.append(min(u, length - u - R_H.length))
+    # the half in branch 1 is I_A, and a strip split at c+ yields the other
+    # first; an end within TOL past c+ or c- adds a sliver of negative margin
+    pivot = model.c_minus if has_minus else 0.0
+    halves = [Arc(R_H.start, pivot), Arc(pivot, R_H.end)]
+    if not has_minus:
+        margins.reverse()
+        halves.reverse()
+    if min(margins) <= 0.0:
+        raise NotMarkov("crossing margins (%s) not positive"
+                        % ", ".join(f"{m:.3g}" for m in margins))
+    return HorseshoeCertificate(R_H, *halves, tuple(margins), orientations=(1, 1))
 
 
 # --- attractor span --------------------------------------------------------

@@ -17,7 +17,7 @@ import copy
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -66,9 +66,9 @@ from .symbolic import (
 
 
 def _is_number(v) -> bool:
-    """A finite int or float; JSON booleans, NaN and Infinity are not numbers."""
+    """A finite float or an int within the float range; JSON booleans are not."""
     return (isinstance(v, (int, float)) and not isinstance(v, bool)
-            and math.isfinite(v))
+            and abs(v) <= sys.float_info.max)
 
 
 def _range01(lo_open=False, hi_open=False, lo=0.0, hi=1.0):
@@ -189,25 +189,9 @@ SCHEMA = {
 }
 
 
-@dataclass
-class Config:
-    sections: dict
-
-    def __getitem__(self, key):
-        return self.sections[key]
-
-    def model_params(self) -> ModelParams:
-        return ModelParams(**self.sections["model"])
-
-    def build_model(self) -> MapModel:
-        return build_model(self.model_params())
-
-    def echo(self) -> dict:
-        return copy.deepcopy(self.sections)
-
-
-def load_config(text: str) -> Config:
-    """Parse and validate a JSON config document; fill defaults."""
+def load_config(text: str) -> dict:
+    """Parse and validate a JSON config document; fill defaults.  Returns
+    {section: {key: value}} with every SCHEMA key set."""
     try:
         raw = json.loads(text) if text.strip() else {}
     except json.JSONDecodeError as exc:
@@ -229,7 +213,11 @@ def load_config(text: str) -> Config:
             value = raw.get(section, {}).get(key, copy.deepcopy(default))
             validator(value, f"{section}.{key}")
             sections[section][key] = value
-    return Config(sections)
+    return sections
+
+
+def _model(config: dict) -> MapModel:
+    return build_model(ModelParams(**config["model"]))
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +275,8 @@ def _arc_json(arc):
             "length": arc.length}
 
 
-def _json_report(payload: dict, config: Config) -> bytes:
-    payload = {**payload, "config": config.echo()}
+def _json_report(payload: dict, config: dict) -> bytes:
+    payload = {**payload, "config": config}
     return (json.dumps(payload, indent=2, sort_keys=True, default=_arc_json)
             + "\n").encode()
 
@@ -297,7 +285,7 @@ def _json_report(payload: dict, config: Config) -> bytes:
 # drivers
 
 
-def run_sweep(config: Config):
+def run_sweep(config: dict):
     """Classify every grid cell; returns (strata, margins, csv bytes, ppm bytes).
 
     strata and margins are the (ny, nx) ``classify_grid`` arrays, row j at
@@ -306,7 +294,7 @@ def run_sweep(config: Config):
     process; ``sweep.workers`` is accepted and ignored.
     """
     sw = config["sweep"]
-    params = config.model_params()
+    params = ModelParams(**config["model"])
     nx, ny = sw["grid_nx"], sw["grid_ny"]
     a_lo, a_hi = sw["alpha_range"]
     b_lo, b_hi = sw["beta_range"]
@@ -334,7 +322,7 @@ def run_sweep(config: Config):
     return strata, margins, csv_bytes, render_raster(strata[::-1])
 
 
-def run_path(config: Config):
+def run_path(config: dict):
     """Classify and measure the attractor span along a parameter segment.
 
     Every step is classified by one ``classify_grid`` call.  Emits one CSV
@@ -343,7 +331,7 @@ def run_path(config: Config):
     """
     pt = config["path"]
     eng = config["engine"]
-    params = config.model_params()
+    params = ModelParams(**config["model"])
     steps = pt["steps"]
     (a0, b0), (a1, b1) = pt["start"], pt["end"]
     if not (math.isfinite(a1 - a0) and math.isfinite(b1 - b0)):
@@ -374,30 +362,29 @@ def run_path(config: Config):
     return rows, csv_bytes, report
 
 
-def run_histogram(config: Config):
+def run_histogram(config: dict):
     """Bin a single long orbit over the circle; deterministic for fixed seed."""
     h = config["histogram"]
     if h["orbit_length"] < h["bins"]:
         raise ValidationError("histogram.orbit_length", "must be >= bins")
-    model = config.build_model()
+    model = _model(config)
     f, on_discontinuity = model.f, model.on_discontinuity
-    rng = np.random.default_rng(h["seed"])
-    x = float(rng.uniform(0.0, 1.0))
-    for _ in range(h["burn_in"]):
+    # the burn-in is stepped into the same array, so a size that cannot be
+    # allocated fails before the first step
+    orbit = np.empty(h["burn_in"] + h["orbit_length"])
+    x = float(np.random.default_rng(h["seed"]).uniform(0.0, 1.0))
+    for i in range(orbit.size):
         x = f(x if on_discontinuity(x) is None else norm1(x + 1e-9))
-    samples = np.empty(h["orbit_length"])
-    for i in range(h["orbit_length"]):
-        x = f(x if on_discontinuity(x) is None else norm1(x + 1e-9))
-        samples[i] = x
-    counts, edges = np.histogram(samples, bins=h["bins"], range=(0.0, 1.0))
+        orbit[i] = x
+    counts, edges = np.histogram(orbit[h["burn_in"]:], bins=h["bins"], range=(0.0, 1.0))
     rows = [[i, edges[i], edges[i + 1], int(c)] for i, c in enumerate(counts)]
     csv_bytes = _csv(["bin", "lo", "hi", "count"], ["%d,%.12g,%.12g,%d"] * len(rows),
                      [v for row in rows for v in row])
     return rows, csv_bytes
 
 
-def _degree_family(config: Config):
-    params = config.model_params()
+def _degree_family(config: dict):
+    params = ModelParams(**config["model"])
     kind = config["degree"]["family"]
 
     def build(alpha, beta):
@@ -415,15 +402,15 @@ def _degree_family(config: Config):
 # and bytes are written as they are; ``main`` writes them all
 
 
-def _word_from_config(config: Config) -> Word:
+def _word_from_config(config: dict) -> Word:
     try:
         return Word.from_string(config["word"]["letters"])
     except KeyError as exc:
         raise ValidationError("word.letters", f"unknown letter {exc}") from exc
 
 
-def cmd_verify(config: Config) -> dict:
-    model = config.build_model()
+def cmd_verify(config: dict) -> dict:
+    model = _model(config)
     rep = verify_hypotheses(model)
     cones = verify_cones(build_skew(model, **config["skew"]), grid_x=200, grid_y=20)
     e = config["eigenvalues"]
@@ -442,27 +429,27 @@ def cmd_verify(config: Config) -> dict:
     }}
 
 
-def cmd_classify(config: Config) -> dict:
-    model = config.build_model()
+def cmd_classify(config: dict) -> dict:
+    model = _model(config)
     return {"classify.json": {**vars(classify(model)), "lambda_min": model.lambda_min}}
 
 
-def cmd_kneading(config: Config) -> dict:
-    kd = kneading_data(config.build_model(), config["engine"]["depth"])
+def cmd_kneading(config: dict) -> dict:
+    kd = kneading_data(_model(config), config["engine"]["depth"])
     return {"kneading.json": {"depth": kd.depth,
                               "words": {name: str(w) for name, w in kd.words()}}}
 
 
-def cmd_itinerary(config: Config) -> dict:
+def cmd_itinerary(config: dict) -> dict:
     it = config["itinerary"]
     side = PLUS if it["side"] == "+" else MINUS
-    word = itinerary(config.build_model(), SignedPoint(it["x"], side),
+    word = itinerary(_model(config), SignedPoint(it["x"], side),
                      config["engine"]["depth"])
     return {"itinerary.json": {"x": it["x"], "side": it["side"], "word": str(word)}}
 
 
-def cmd_admissible(config: Config) -> dict:
-    model = config.build_model()
+def cmd_admissible(config: dict) -> dict:
+    model = _model(config)
     word = _word_from_config(config)
     kd = kneading_data(model, max(config["engine"]["depth"], word.depth))
     verdict = is_admissible(word, kd)
@@ -475,14 +462,14 @@ def cmd_admissible(config: Config) -> dict:
                        "condition": verdict.rejection[1]})}}
 
 
-def cmd_realize(config: Config) -> dict:
-    model = config.build_model()
+def cmd_realize(config: dict) -> dict:
+    model = _model(config)
     word = _word_from_config(config)
     return {"realize.json": {"word": str(word), **vars(realize(model, word))}}
 
 
-def cmd_conjugacy(config: Config) -> dict:
-    model = config.build_model()
+def cmd_conjugacy(config: dict) -> dict:
+    model = _model(config)
     cj = config["conjugacy"]
     other = shoot_matched_model(model, cj["theta1_other"], cj["match_depth"])
     result = build_conjugacy(model, other, cj["match_depth"], cj["grid"])
@@ -497,25 +484,25 @@ def cmd_conjugacy(config: Config) -> dict:
     }
 
 
-def cmd_sweep(config: Config) -> dict:
+def cmd_sweep(config: dict) -> dict:
     _, _, csv_bytes, ppm = run_sweep(config)
     return {"sweep.csv": csv_bytes, "sweep.ppm": ppm}
 
 
-def cmd_path(config: Config) -> dict:
+def cmd_path(config: dict) -> dict:
     _, csv_bytes, report = run_path(config)
     return {"path.csv": csv_bytes, "path_report.json": report}
 
 
-def cmd_histogram(config: Config) -> dict:
+def cmd_histogram(config: dict) -> dict:
     _, csv_bytes = run_histogram(config)
     return {"histogram.csv": csv_bytes}
 
 
-def cmd_attractor2d(config: Config) -> dict:
+def cmd_attractor2d(config: dict) -> dict:
     if config["cloud"]["width"] * config["cloud"]["height"] > MAX_INT:
         raise ValidationError("cloud.height", f"width x height must not exceed {MAX_INT}")
-    skew = build_skew(config.build_model(), **config["skew"])
+    skew = build_skew(_model(config), **config["skew"])
     cloud = attractor_cloud(skew, **config["cloud"])
     points = cloud.points
     return {
@@ -526,7 +513,7 @@ def cmd_attractor2d(config: Config) -> dict:
     }
 
 
-def cmd_degree(config: Config) -> dict:
+def cmd_degree(config: dict) -> dict:
     deg = family_degree(_degree_family(config), step=config["degree"]["step"])
     return {"degree.json": {"matrix": [list(r) for r in deg.entries],
                             "determinant": deg.determinant, "essential": deg.essential}}

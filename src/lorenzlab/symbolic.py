@@ -287,7 +287,7 @@ class AdmissibilityVerdict:
         return self.rejection is None
 
 
-def is_admissible(w: Word, kd: KneadingData, depth: int | None = None) -> AdmissibilityVerdict:
+def is_admissible(w: Word, kd: KneadingData) -> AdmissibilityVerdict:
     """Check the shift inequalities of a word against kneading data.
 
     Every shift of the word must stay between the up itinerary of c+ and the
@@ -296,9 +296,8 @@ def is_admissible(w: Word, kd: KneadingData, depth: int | None = None) -> Admiss
     up itinerary of c-.  Only violations decidable within the available depth
     count; undecided comparisons pass.
     """
-    k = min(depth if depth is not None else w.depth, w.depth)
-    for i in range(k):
-        tail = Word(w.letters[i:k])
+    for i in range(w.depth):
+        tail = Word(w.letters[i:])
         sign, _ = lex_compare(kd.w_pp, tail)
         if sign == GREATER:
             return AdmissibilityVerdict(i, (i, "bounds"))
@@ -313,7 +312,7 @@ def is_admissible(w: Word, kd: KneadingData, depth: int | None = None) -> Admiss
             sign, _ = lex_compare(kd.w_mp, tail)
             if sign == GREATER:
                 return AdmissibilityVerdict(i, (i, "B-floor"))
-    return AdmissibilityVerdict(k, None)
+    return AdmissibilityVerdict(w.depth, None)
 
 
 # --- realization ----------------------------------------------------------
@@ -411,10 +410,10 @@ class ConjugacyResult:
 
 
 def _interpolation(pairs):
-    """Piecewise-linear circle interpolation through monotone pairs sorted by
-    abscissa, as a lane-wise function.  A point x in [x0, x1) maps to
-    y0 + t * dy with t = ((x - x0) mod 1) / dx, where dx and dy are the ccw
-    steps to the next pair (dx = 1 for a single pair)."""
+    """Piecewise-linear circle interpolation through pairs sorted by abscissa,
+    as a lane-wise function, and its ccw steps dy.  A point x in [x0, x1)
+    maps to y0 + t * dy with t = ((x - x0) mod 1) / dx, where dx and dy are the
+    ccw steps to the next pair, the last to the first (dx = 1 for one pair)."""
     kx, ky = np.array(pairs).T
     dx = (np.roll(kx, -1) - kx) % 1.0
     dx[dx == 0.0] = 1.0
@@ -424,7 +423,7 @@ def _interpolation(pairs):
         # the sum is never negative, so % 1.0 equals norm1 on it
         i = np.searchsorted(kx, z, "right") - 1
         return (ky[i] + ((z - kx[i]) % 1.0) / dx[i] * dy[i]) % 1.0
-    return h
+    return h, dy
 
 
 def build_conjugacy(mx: MapModel, my: MapModel, depth: int, grid: int) -> ConjugacyResult:
@@ -460,22 +459,13 @@ def build_conjugacy(mx: MapModel, my: MapModel, depth: int, grid: int) -> Conjug
     pairs = sorted([(0.0, 0.0), (mx.c_minus, my.c_minus)]
                    + list(zip(xs.tolist(), hxs.tolist())))
 
-    prev = None
-    winding = 0.0
-    monotone = True
-    for _, y in pairs + [pairs[0]]:
-        if prev is not None:
-            step = (y - prev) % 1.0
-            winding += step
-            if step >= 1.0 - 1e-9:
-                monotone = False
-        prev = y
-    if abs(winding - 1.0) > 1e-6:
-        monotone = False
+    # monotone: no ccw step is an almost full turn, and the steps wind once;
+    # cumsum adds them in order, unlike np.sum's pairwise scheme
+    h, steps = _interpolation(pairs)
+    monotone = bool((steps < 1.0 - 1e-9).all() and abs(np.cumsum(steps)[-1] - 1.0) <= 1e-6)
 
     defect = circle_dist_np(hfxs, my.f_np(hxs[imaged])).max(initial=0.0)
 
-    h = _interpolation(pairs)
     probes = (np.arange(grid * 10) + 0.5) / (grid * 10)
     fps = mx.f_np(probes)
     keep = off_discontinuity(probes) & off_discontinuity(fps)

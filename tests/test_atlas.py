@@ -1,3 +1,4 @@
+import functools
 from dataclasses import replace
 
 import numpy as np
@@ -13,15 +14,17 @@ from lorenzlab.atlas import (
     classify,
     classify_grid,
     golden_bound,
+    HorseshoeCertificate,
     horseshoe_certificate,
     iterate_segments,
     region_verdicts,
     trapping_interval,
 )
-from lorenzlab.circle import Arc, arc_contains, circle_dist
+from lorenzlab.circle import TOL, Arc, arc_contains, circle_dist, dist_ccw, norm1
 from lorenzlab.errors import (
     ExpansionTooWeak,
     LambdaBelowPhi,
+    NotMarkov,
     NoTrappingInterval,
     PreconditionError,
 )
@@ -482,6 +485,151 @@ def test_horseshoe_mirror_down_case():
 def test_horseshoe_rejects_both_discontinuities():
     with pytest.raises(PreconditionError):
         horseshoe_certificate(M(0.707, 0.30), Arc(0.9, 0.6))
+
+
+def horseshoe_reference(model, R_H):
+    """The horseshoe certificate stated with its own image arcs: the
+    reference that ``horseshoe_certificate`` is compared with.
+
+    Each half's image is an Arc between the lifts of its ends, the strip must
+    lie inside it (with a 1e-9 slack on the lengths), and both cusps must
+    lie outside the strip widened by 1e-12 at either end.
+    """
+    def covers(outer, inner):
+        left = dist_ccw(outer.start, inner.start)
+        right = dist_ccw(inner.end, outer.end)
+        if left + inner.length + right > outer.length + 1e-9:
+            return -1.0
+        return min(left, right)
+
+    def image(piece, branch):
+        s = piece.start
+        e = piece.end if piece.end > s else 1.0
+        return Arc(norm1(model.lift(branch, s)), norm1(model.lift(branch, e)))
+
+    has_minus = arc_contains(R_H, model.c_minus)
+    if has_minus == arc_contains(R_H, 0.0):
+        raise PreconditionError("horseshoe strip must contain exactly one discontinuity")
+    pivot = model.c_minus if has_minus else 0.0
+    I_A, I_B = Arc(R_H.start, pivot), Arc(pivot, R_H.end)
+    if not has_minus:
+        I_A, I_B = I_B, I_A
+    m_A, m_B = covers(image(I_A, 1), R_H), covers(image(I_B, 2), R_H)
+    if m_A <= 0.0 or m_B <= 0.0:
+        raise NotMarkov("crossing margins not positive")
+    for q in (model.q1, model.q2):
+        if -1e-12 <= dist_ccw(R_H.start, q) <= R_H.length + 1e-12:
+            raise NotMarkov("discontinuity image does not escape the strip")
+    return HorseshoeCertificate(R_H, I_A, I_B, (m_A, m_B), (1, 1))
+
+
+def _c07_strip(model, dynamics):
+    """The complementary strip of the trapping interval, as acceptance test
+    C07 takes it, and the cusps just before its start and just after its end."""
+    t = trapping_interval(model)
+    if dynamics == atlas.UP_LORENZ:
+        return Arc(t.l1, t.l2), model.q2, model.q1
+    return Arc(t.l2, t.l1), model.q1, model.q2
+
+
+@functools.cache
+def _lorenz_strips():
+    """(model, C07 strip, cusp before it, cusp after it) of 20 README-window
+    L+ and 20 L- models."""
+    return [(m, *_c07_strip(m, dyn)) for dyn in (atlas.UP_LORENZ, atlas.DOWN_LORENZ)
+            for m in _random_lorenz_models(dyn, 20, seed=12)]
+
+
+def _pushed_strips(count, seed):
+    """(model, strip) draws over ``_lorenz_strips``: the C07 strip, with
+    none, one or both of its ends moved onto the cusp beside it and pushed
+    back into the strip by 0, by a log-uniform 1e-17..1e-9 or by a uniform
+    0..1e-9."""
+    rng = np.random.default_rng(seed)
+    strips = _lorenz_strips()
+
+    def push():
+        kind = rng.integers(3)
+        return 0.0 if kind == 0 else 10 ** rng.uniform(-17, -9) if kind == 1 else rng.uniform(0, 1e-9)
+
+    for _ in range(count):
+        m, strip, q_start, q_end = strips[rng.integers(len(strips))]
+        ends = rng.integers(4)
+        start = norm1(q_start + push()) if ends & 1 else strip.start
+        end = norm1(q_end - push()) if ends & 2 else strip.end
+        yield m, Arc(start, end)
+
+
+def _outcome(certify, model, strip):
+    try:
+        return certify(model, strip)
+    except (NotMarkov, PreconditionError) as exc:
+        return type(exc)
+
+
+def test_horseshoe_matches_reference_on_pushed_strips():
+    # the verdicts agree except where the reference's 1e-12 escape slack
+    # refuses a strip whose smallest margin is positive but at most that
+    # slack; where both certify, the margins agree to rounding
+    refused_by_slack = certified = 0
+    for m, strip in _pushed_strips(4000, seed=12):
+        got = _outcome(horseshoe_certificate, m, strip)
+        want = _outcome(horseshoe_reference, m, strip)
+        if not isinstance(got, HorseshoeCertificate):
+            assert got is want
+        elif not isinstance(want, HorseshoeCertificate):
+            assert want is NotMarkov
+            assert 0.0 < min(got.crossing_margins) <= 1e-12 + 1e-15
+            refused_by_slack += 1
+        else:
+            assert (got.R_H, got.I_A, got.I_B, got.orientations) == (
+                want.R_H, want.I_A, want.I_B, want.orientations)
+            for a, b in zip(got.crossing_margins, want.crossing_margins):
+                assert abs(a - b) <= 1e-15
+            certified += 1
+    assert refused_by_slack and certified
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(k=st.integers(0, 39),
+       pushes=st.tuples(*[st.one_of(st.none(), st.floats(0.0, 1e-9))] * 2))
+def test_horseshoe_certificate_leaves_cusps_outside_closed_strip(k, pushes):
+    # a certificate whose smallest margin exceeds TOL (so dist_ccw cannot
+    # collapse a cusp just before the start onto it) puts both cusps, the
+    # one-sided images of the contained discontinuity, outside the closed strip
+    m, strip, q_start, q_end = _lorenz_strips()[k]
+    start = strip.start if pushes[0] is None else norm1(q_start + pushes[0])
+    end = strip.end if pushes[1] is None else norm1(q_end - pushes[1])
+    cert = _outcome(horseshoe_certificate, m, Arc(start, end))
+    if isinstance(cert, HorseshoeCertificate) and min(cert.crossing_margins) > TOL:
+        for q in (m.q1, m.q2):
+            assert dist_ccw(cert.R_H.start, q) > cert.R_H.length
+
+
+@pytest.mark.parametrize("ab", [(0.707, 0.30), (0.79, 0.20)], ids=["up", "down"])
+def test_horseshoe_strip_end_on_cusp(ab):
+    # an end on a cusp leaves that cusp in the closed strip, so no certificate;
+    # 1e-15 short of it the margin is positive and the strip certifies, where
+    # the reference's 1e-12 escape slack refuses it
+    m = M(*ab)
+    strip, q_start, q_end = _c07_strip(m, classify(m).dynamics)
+    for on_cusp in (Arc(q_start, strip.end), Arc(strip.start, q_end)):
+        with pytest.raises(NotMarkov):
+            horseshoe_certificate(m, on_cusp)
+    for near in (Arc(q_start + 1e-15, strip.end), Arc(strip.start, q_end - 1e-15)):
+        assert 0.0 < min(horseshoe_certificate(m, near).crossing_margins) < 1e-14
+        with pytest.raises(NotMarkov):
+            horseshoe_reference(m, near)
+
+
+def test_horseshoe_sliver_past_other_discontinuity():
+    # a strip around c+ whose start lies within TOL before c- passes the
+    # one-discontinuity precondition and splits into three pieces, the first
+    # a sliver of branch 1; it is refused, not read as two halves
+    m = M(0.79, 0.20)
+    strip, _, _ = _c07_strip(m, atlas.DOWN_LORENZ)
+    with pytest.raises(NotMarkov):
+        horseshoe_certificate(m, Arc(m.c_minus - 5e-13, strip.end))
 
 
 # --- attractor span ----------------------------------------------------------

@@ -18,6 +18,7 @@ from lorenzlab.errors import (
     TrackingLost,
     ValidationError,
 )
+from lorenzlab.maps import ModelParams, build_model
 
 
 def load(doc=None, **sections):
@@ -32,8 +33,7 @@ def test_defaults_filled():
     assert cfg["model"]["theta2"] == 0.0
     assert cfg["skew"]["kappa"] == 0.2
     assert cfg["model"]["lambda_min_required"] == pytest.approx(1.6180339887, abs=1e-9)
-    echoed = cfg.echo()
-    assert echoed["engine"]["depth"] == 30
+    assert cfg["engine"]["depth"] == 30
 
 
 def test_unknown_keys_rejected():
@@ -118,13 +118,13 @@ def _row_wise_sweep(config):
         return str(v)
 
     sw = config["sweep"]
-    params = config.model_params()
+    params = ModelParams(**config["model"])
     nx, ny = sw["grid_nx"], sw["grid_ny"]
     a_lo, a_hi = sw["alpha_range"]
     b_lo, b_hi = sw["beta_range"]
     alphas = [a_lo + (a_hi - a_lo) * i / (nx - 1) for i in range(nx)]
     betas = [b_lo + (b_hi - b_lo) * j / (ny - 1) for j in range(ny)]
-    lambda_min = config.build_model().lambda_min
+    lambda_min = build_model(params).lambda_min
     strata, margins, _, _ = atlas.classify_grid(params, alphas,
                                                 np.array(betas)[:, None])
     labels = [[atlas.STRATA[k] for k in row] for row in strata.tolist()]
@@ -241,7 +241,7 @@ def test_histogram_nudge_crosses_c_plus(monkeypatch):
     monkeypatch.setattr(np, "histogram", recording_histogram)
     cfg = load(histogram={"orbit_length": 2, "burn_in": 0, "bins": 2})
     cli.run_histogram(cfg)
-    model = cfg.build_model()
+    model = build_model(ModelParams(**cfg["model"]))
     assert abs(orbits[0][0] - model.q1) < 1e-6
 
 
@@ -286,6 +286,11 @@ BAD_INPUTS = [
     ("classify", '{"model": {"alpha": NaN}}', 2),
     ("classify", '{"model": {"alpha": Infinity}}', 2),
     ("classify", '{"model": {"alpha": true}}', 2),
+    # integers outside the float range are not numbers
+    pytest.param("classify", '{"model": {"alpha": 1%s}}' % ("0" * 400), 2,
+                 id="classify-alpha-10**400-2"),
+    pytest.param("path", '{"path": {"start": [1%s, 0.22]}}' % ("0" * 400), 2,
+                 id="path-start-10**400-2"),
     ("classify", '{"model": {"theta1": "0.1"}}', 2),
     ("classify", '{"degree": {"family": []}}', 2),             # unhashable choice
     ("sweep", '{"sweep": {"workers": true}}', 2),
@@ -301,6 +306,7 @@ BAD_INPUTS = [
     ("classify --out cfg.json/sub", "{}", 2),                  # --out under a file
     # sizes whose first array cannot be allocated
     ("histogram", '{"histogram": {"orbit_length": 1000000000000000}}', 4),
+    ("histogram", '{"histogram": {"burn_in": 1000000000000000}}', 4),
     ("attractor2d", '{"cloud": {"samples": 1000000000000000}}', 4),
     # integers above 2**53 - 1, and a raster of more cells than that
     ("histogram", '{"histogram": {"orbit_length": 100000000000000000000}}', 2),

@@ -172,7 +172,7 @@ def test_itineraries_are_admissible():
     for _ in range(1000):
         x = rng.uniform(0, 1)
         w = itinerary(M0, SignedPoint(x, PLUS), 40)
-        assert is_admissible(w, kd, 40).admissible
+        assert is_admissible(w, kd).admissible
 
 
 def test_realize_fixed_point_words():
@@ -411,7 +411,7 @@ def test_realize_roundtrip_random_models(model, xs):
     words, found = [], []
     for sp in sps:
         w = itinerary(model, sp, 30)
-        assert is_admissible(w, kd, 30).admissible
+        assert is_admissible(w, kd).admissible
         r = realize(model, w)
         assert circle_dist(r.midpoint, sp.x) <= bound
         assert r.interval.length <= model.lambda_min ** -29
@@ -455,9 +455,20 @@ def _interp_reference(pairs, x):
     return norm1(y0 + t * ((y1 - y0) % 1.0))
 
 
+def _monotone_reference(pairs):
+    """The ccw steps between consecutive ordinates, the last to the first,
+    and their running sum, one pair at a time; h is monotone when no step is
+    an almost full turn and the steps wind once."""
+    steps = [(y1 - y0) % 1.0 for (_, y0), (_, y1) in zip(pairs, pairs[1:] + pairs[:1])]
+    winding = 0.0
+    for step in steps:
+        winding += step
+    return steps, winding, max(steps) < 1.0 - 1e-9 and abs(winding - 1.0) <= 1e-6
+
+
 def _conjugacy_reference(mx, my, depth, grid):
-    """build_conjugacy's pairs, defect and interp_defect one point at a time,
-    with scalar itinerary, realize and f."""
+    """build_conjugacy's pairs, defect, interp_defect and monotone verdict
+    one point at a time, with scalar itinerary, realize and f."""
     def H(z):
         return realize(my, itinerary(mx, SignedPoint(z, PLUS), depth)).midpoint
 
@@ -471,7 +482,7 @@ def _conjugacy_reference(mx, my, depth, grid):
         if mx.on_discontinuity(x) is None and mx.on_discontinuity(mx.f(x)) is None:
             fx, hx = _interp_reference(pairs, mx.f(x)), _interp_reference(pairs, x)
             interp_defect = max(interp_defect, circle_dist(fx, my.f(hx)))
-    return pairs, defect, interp_defect
+    return pairs, defect, interp_defect, _monotone_reference(pairs)[2]
 
 
 @pytest.mark.parametrize("mx, my, depth, grid", [
@@ -482,7 +493,8 @@ def _conjugacy_reference(mx, my, depth, grid):
 ])
 def test_conjugacy_matches_scalar_reference(mx, my, depth, grid):
     res = build_conjugacy(mx, my, depth, grid)
-    assert (res.pairs, res.defect, res.interp_defect) == _conjugacy_reference(mx, my, depth, grid)
+    assert (res.pairs, res.defect, res.interp_defect, res.monotone) == _conjugacy_reference(
+        mx, my, depth, grid)
 
 
 @pytest.mark.parametrize("pairs", [
@@ -497,8 +509,23 @@ def test_interpolation_matches_scalar_formula(pairs):
     zs = [(i + 0.5) / 997 for i in range(997)] + knots + [0.0, 1.0 - 2.0 ** -53]
     zs += [math.nextafter(x, d) for x in knots for d in (0.0, 1.0)]
     zs = [z for z in zs if 0.0 <= z < 1.0]
-    assert _interpolation(pairs)(np.array(zs)).tolist() == [
+    h, _ = _interpolation(pairs)
+    assert h(np.array(zs)).tolist() == [
         _interp_reference(pairs, z) for z in zs]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True),
+                          st.floats(0.0, 1.0, exclude_max=True)),
+                min_size=1, max_size=12, unique_by=lambda p: p[0]).map(sorted))
+def test_interpolation_steps_match_pairwise_reference(pairs):
+    # the steps build_conjugacy reads its monotone verdict from equal the
+    # pairwise ccw steps bit for bit, and their cumsum is the running sum,
+    # for monotone and non-monotone ordinates alike
+    steps, winding, _ = _monotone_reference(pairs)
+    _, dy = _interpolation(pairs)
+    assert dy.tolist() == steps
+    assert np.cumsum(dy)[-1] == winding
 
 
 def test_conjugacy_kneading_guard():
