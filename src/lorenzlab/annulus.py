@@ -203,15 +203,12 @@ def attractor_cloud(skew: SkewModel, depth: int, samples: int,
         bad = np.logical_or(*base.on_discontinuity_np(xv))
         return np.where(bad, np.mod(xv + 1e-9, 1.0), xv)
 
-    for _ in range(burn_in):
+    # the burn-in steps all write row 0, which the first kept step overwrites
+    px, py = np.empty((2, max(depth, 1), samples))
+    for i in range(burn_in + len(px)):
         x, y = apply_skew_np(skew, fix(x), y)
-    out_x, out_y = [], []
-    for _ in range(max(depth, 1)):
-        x, y = apply_skew_np(skew, fix(x), y)
-        out_x.append(x.copy())
-        out_y.append(y.copy())
-    px = np.concatenate(out_x)
-    py = np.concatenate(out_y)
+        px[max(i - burn_in, 0)], py[max(i - burn_in, 0)] = x, y
+    px, py = px.ravel(), py.ravel()
 
     cols = np.clip((px * width).astype(int), 0, width - 1)
     rows = np.clip(((1.0 - (py + 1.0) / 2.0) * height).astype(int), 0, height - 1)

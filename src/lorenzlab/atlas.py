@@ -231,23 +231,21 @@ def _branch_images(model: MapModel, lo: float, hi: float):
         yield start % 1.0, model.lift(branch, b) - start
 
 
-def iterate_segments(model: MapModel, seed: Arc, maxN: int, eps: float,
-                     confine: Arc | None = None) -> CoverageCertificate:
+def iterate_segments(model: MapModel, seed: Arc, maxN: int, eps: float) -> CoverageCertificate:
     """Iterate a family of arcs branchwise and accumulate the covered union.
 
     Each step splits every arc at the two discontinuities, maps the pieces
     through the branch lifts, and merges the images into both the running
     family and the accumulated union.  Stops when the complement of the union
     has total length below eps, or after maxN steps.  Complement components
-    shorter than eps are reported as isolated missed points.
+    shorter than eps are reported as isolated missed points.  Nothing is
+    clipped: ``attractor_span`` seeds inside a certified trapping interval,
+    and the certificate's positive margin keeps every iterate there.
     """
     union = ArcUnion()
     union.add(seed)
     family = union.intervals()
-    confine_iv = None if confine is None else linear_pieces(confine)
-    covered = union.total_length
-    history = [covered]
-    iterations = 0
+    history = [union.total_length]
     for step in range(1, maxN + 1):
         pieces = []
         for lo, hi in family:
@@ -257,10 +255,6 @@ def iterate_segments(model: MapModel, seed: Arc, maxN: int, eps: float,
                     pieces.append((start, end))
                 else:
                     pieces += [(start, 1.0), (0.0, end - 1.0)]
-        if confine_iv is not None:
-            pieces = [(max(lo, clo), min(hi, chi))
-                      for lo, hi in pieces for clo, chi in confine_iv
-                      if min(hi, chi) > max(lo, clo)]
         if len(pieces) > ARC_BUDGET:
             raise ArcBudgetExceeded(f"{len(pieces)} arcs at step {step}")
         merged = ArcUnion()
@@ -269,10 +263,8 @@ def iterate_segments(model: MapModel, seed: Arc, maxN: int, eps: float,
         # merged family gives the union that adding the raw pieces would
         family = merged.intervals()
         union.add_many(family)
-        covered = union.total_length
-        history.append(covered)
-        iterations = step
-        if 1.0 - covered < eps:
+        history.append(union.total_length)
+        if 1.0 - history[-1] < eps:
             break
 
     gaps = union.gaps()
@@ -285,7 +277,7 @@ def iterate_segments(model: MapModel, seed: Arc, maxN: int, eps: float,
             missed.append(d)
     terminal = [Arc.from_linear(lo, hi) for lo, hi in family]
     return CoverageCertificate(
-        seed=seed, iterations_used=iterations, covered_fraction=covered,
+        seed=seed, iterations_used=len(history) - 1, covered_fraction=history[-1],
         missed_points=missed, terminal_arcs=terminal,
         gap_arcs=gaps, history=history)
 
@@ -393,7 +385,6 @@ def horseshoe_certificate(model: MapModel, R_H: Arc) -> HorseshoeCertificate:
 class SpanResult:
     span: Arc
     certificate: CoverageCertificate
-    verdict: RegionVerdict
     trapping: TrappingCertificate | None
 
 
@@ -401,23 +392,23 @@ def attractor_span(model: MapModel, maxN: int = 60, eps: float = 1e-3,
                    verdict: RegionVerdict | None = None) -> SpanResult:
     """Smallest arc of stable leaves met by the attractor.
 
-    Seeds a short arc at the cusp q1 and runs the segment engine, confined to
-    the trapping interval when the classification provides one (an up or
-    down Lorenz verdict; that certificate is returned as ``trapping``); the
-    span is the complement of the largest gap left in the accumulated union,
-    and a full ``span`` means every gap has shrunk below the engine resolution.
+    Seeds a short arc at the cusp q1 and runs the segment engine.  For an up
+    or down Lorenz verdict the seed lies inside the trapping interval R_L,
+    whose certificate (returned as ``trapping``) keeps every iterate there;
+    the span is the complement of the largest gap left in the accumulated
+    union, and a full ``span`` means every gap has shrunk below the engine
+    resolution.
     """
     v = verdict if verdict is not None else classify(model)
     trap = trapping_interval(model, v) if v.dynamics in (UP_LORENZ, DOWN_LORENZ) else None
-    confine = None if trap is None else trap.R_L
     delta = 1e-3
-    if confine is not None:
-        # keep the seed inside the trapped region
-        room = dist_ccw(model.q1, confine.end)
-        delta = min(delta, room / 2) if room > 0 else delta
+    if trap is not None:
+        # q1 is an end of the image of R_L, which the positive margin puts
+        # strictly inside R_L, so the room up to R_L's end is positive
+        delta = min(delta, dist_ccw(model.q1, trap.R_L.end) / 2)
     seed = Arc(model.q1, norm1(model.q1 + delta))
 
-    cert = iterate_segments(model, seed, maxN=maxN, eps=eps, confine=confine)
+    cert = iterate_segments(model, seed, maxN=maxN, eps=eps)
     gap = max(cert.gap_arcs, key=lambda g: g.length, default=None)
     span = Arc.full_circle() if gap is None or gap.length < eps else Arc(gap.end, gap.start)
-    return SpanResult(span=span, certificate=cert, verdict=v, trapping=trap)
+    return SpanResult(span=span, certificate=cert, trapping=trap)

@@ -348,7 +348,7 @@ def run_path(config: dict):
                              verdict=verdict)
         trap = "" if res.trapping is None else res.trapping.invariance_margin
         length = res.span.length
-        rows.append([k, alpha, beta, res.verdict.stratum, length, res.span.full, trap])
+        rows.append([k, alpha, beta, verdict.stratum, length, res.span.full, trap])
         lines.append("%d,%.12g,%.12g,%s,%.12g,%d," + ("%s" if trap == "" else "%.12g"))
         if prev_len is not None and abs(length - prev_len) > 0.25:
             jumps.append(k)

@@ -31,7 +31,6 @@ from .maps import (
     PLUS,
     ROOT_TOL,
     SNAP,
-    BranchProfile,
     MapModel,
     SignedPoint,
     _bisect_lift,
@@ -298,20 +297,12 @@ def is_admissible(w: Word, kd: KneadingData) -> AdmissibilityVerdict:
     """
     for i in range(w.depth):
         tail = Word(w.letters[i:])
-        sign, _ = lex_compare(kd.w_pp, tail)
-        if sign == GREATER:
-            return AdmissibilityVerdict(i, (i, "bounds"))
-        sign, _ = lex_compare(tail, kd.w_pm)
-        if sign == GREATER:
-            return AdmissibilityVerdict(i, (i, "bounds"))
-        if w.letters[i] in (Letter.A0, Letter.A1):
-            sign, _ = lex_compare(tail, kd.w_mm)
-            if sign == GREATER:
-                return AdmissibilityVerdict(i, (i, "A-cap"))
-        else:
-            sign, _ = lex_compare(kd.w_mp, tail)
-            if sign == GREATER:
-                return AdmissibilityVerdict(i, (i, "B-floor"))
+        side = ((tail, kd.w_mm, "A-cap") if w.letters[i] in (Letter.A0, Letter.A1)
+                else (kd.w_mp, tail, "B-floor"))
+        for lower, upper, reason in ((kd.w_pp, tail, "bounds"),
+                                     (tail, kd.w_pm, "bounds"), side):
+            if lex_compare(lower, upper)[0] == GREATER:
+                return AdmissibilityVerdict(i, (i, reason))
     return AdmissibilityVerdict(w.depth, None)
 
 
@@ -490,7 +481,7 @@ def shoot_matched_model(mx: MapModel, theta1_new: float, match_depth: int,
     not bracket the target itinerary.
     """
     target = itinerary(mx, SignedPoint(mx.q2, PLUS), match_depth)
-    prof2 = BranchProfile(1.0 - mx.c_minus, mx.params.theta2)
+    prof2 = mx.profile2
 
     def beta_for(alpha: float) -> float:
         # pins f(alpha') = c- exactly, reproducing mx's one-step cusp landing

@@ -1,5 +1,5 @@
 import functools
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -7,7 +7,10 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from lorenzlab import atlas
 from lorenzlab.atlas import (
+    _branch_images,
     _clearance,
+    ARC_BUDGET,
+    CoverageCertificate,
     STRATUM_DYNAMICS,
     attractor_span,
     RegionVerdict,
@@ -20,8 +23,18 @@ from lorenzlab.atlas import (
     region_verdicts,
     trapping_interval,
 )
-from lorenzlab.circle import TOL, Arc, arc_contains, circle_dist, dist_ccw, norm1
+from lorenzlab.circle import (
+    TOL,
+    Arc,
+    ArcUnion,
+    arc_contains,
+    circle_dist,
+    dist_ccw,
+    linear_pieces,
+    norm1,
+)
 from lorenzlab.errors import (
+    ArcBudgetExceeded,
     ExpansionTooWeak,
     LambdaBelowPhi,
     NotMarkov,
@@ -633,6 +646,153 @@ def test_horseshoe_sliver_past_other_discontinuity():
 
 
 # --- attractor span ----------------------------------------------------------
+
+def iterate_segments_reference(model, seed, maxN, eps, confine=None):
+    """The segment engine that clips every image piece to ``confine``: the
+    reference that ``iterate_segments``, which never clips, is compared with."""
+    union = ArcUnion()
+    union.add(seed)
+    family = union.intervals()
+    confine_iv = None if confine is None else linear_pieces(confine)
+    covered = union.total_length
+    history = [covered]
+    iterations = 0
+    for step in range(1, maxN + 1):
+        pieces = []
+        for lo, hi in family:
+            for start, length in _branch_images(model, lo, hi):
+                end = start + length
+                if end <= 1.0:
+                    pieces.append((start, end))
+                else:
+                    pieces += [(start, 1.0), (0.0, end - 1.0)]
+        if confine_iv is not None:
+            pieces = [(max(lo, clo), min(hi, chi))
+                      for lo, hi in pieces for clo, chi in confine_iv
+                      if min(hi, chi) > max(lo, clo)]
+        if len(pieces) > ARC_BUDGET:
+            raise ArcBudgetExceeded(f"{len(pieces)} arcs at step {step}")
+        merged = ArcUnion()
+        merged.add_many(pieces)
+        family = merged.intervals()
+        union.add_many(family)
+        covered = union.total_length
+        history.append(covered)
+        iterations = step
+        if 1.0 - covered < eps:
+            break
+
+    gaps = union.gaps()
+    missed = [g.midpoint() for g in gaps if g.length < eps]
+    for d in (0.0, model.c_minus):
+        if (circle_dist(model.q1, d) <= SNAP and circle_dist(model.q2, d) <= SNAP
+                and all(circle_dist(m, d) > SNAP for m in missed)):
+            missed.append(d)
+    terminal = [Arc.from_linear(lo, hi) for lo, hi in family]
+    return CoverageCertificate(
+        seed=seed, iterations_used=iterations, covered_fraction=covered,
+        missed_points=missed, terminal_arcs=terminal,
+        gap_arcs=gaps, history=history)
+
+
+def _span_reference(model, maxN=60, eps=1e-3):
+    """The coverage certificate of ``attractor_span`` as the clipping engine
+    gave it: the seed sized from the room left in R_L, every step clipped to
+    R_L."""
+    R_L = trapping_interval(model).R_L
+    room = dist_ccw(model.q1, R_L.end)
+    delta = min(1e-3, room / 2) if room > 0 else 1e-3
+    seed = Arc(model.q1, norm1(model.q1 + delta))
+    return iterate_segments_reference(model, seed, maxN, eps, confine=R_L)
+
+
+def _window_lorenz_models(count, seed):
+    """README-window L+ and L- models with c- in [0.45, 0.55] and both
+    thetas in [0, 0.19]; draws below the golden expansion bound are skipped."""
+    rng = np.random.default_rng(seed)
+    models = []
+    while len(models) < count:
+        draw = dict(alpha=rng.uniform(0.68, 0.82), beta=rng.uniform(0.18, 0.32),
+                    c_minus=rng.uniform(0.45, 0.55), theta1=rng.uniform(0.0, 0.19),
+                    theta2=rng.uniform(0.0, 0.19))
+        try:
+            m = M(**draw)
+        except ExpansionTooWeak:
+            continue
+        if classify(m).dynamics in (atlas.UP_LORENZ, atlas.DOWN_LORENZ):
+            models.append(m)
+    return models
+
+
+def _edge_pushed_models(count, seed):
+    """L+ and L- models bisected towards a model of other dynamics along the
+    segment between them, so that they lie next to their stratum's edge."""
+    rng = np.random.default_rng(seed)
+    models = []
+    for m in _window_lorenz_models(4 * count, seed):
+        if len(models) == count:
+            break
+        p, dyn = m.params, classify(m).dynamics
+        a, b = rng.uniform(0.68, 0.82), rng.uniform(0.18, 0.32)
+
+        def at(t):
+            return build_model(replace(p, alpha=p.alpha + t * (a - p.alpha),
+                                       beta=p.beta + t * (b - p.beta)))
+
+        if classify(at(1.0)).dynamics == dyn:
+            continue
+        lo, hi = 0.0, 1.0
+        for _ in range(45):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if classify(at(mid)).dynamics == dyn else (lo, mid)
+        models.append(at(lo))
+    assert len(models) == count
+    return models
+
+
+def _assert_same_certificate(got, want):
+    for f in fields(CoverageCertificate):
+        assert getattr(got, f.name) == getattr(want, f.name), f.name
+
+
+def test_span_matches_clipping_reference_on_window_models():
+    # a positive invariance margin keeps every iterate of a seed inside R_L,
+    # so clipping to R_L changes no piece and the certificates agree exactly
+    for m in _window_lorenz_models(1000, seed=14):
+        _assert_same_certificate(attractor_span(m).certificate, _span_reference(m))
+
+
+def test_span_matches_clipping_reference_at_stratum_edges():
+    margins = []
+    for m in _edge_pushed_models(120, seed=14):
+        res = attractor_span(m)
+        margins.append(res.trapping.invariance_margin)
+        _assert_same_certificate(res.certificate, _span_reference(m))
+    # every bisection reached the edge: the margins are down at SNAP's scale
+    assert 0.0 < min(margins) and max(margins) < 1e-8
+
+
+def _inside_closed(inner, outer):
+    return dist_ccw(outer.start, inner.start) + inner.length <= outer.length
+
+
+def _covered_arcs(gaps):
+    """The components of the circle minus the disjoint arcs ``gaps``."""
+    gaps = sorted(gaps, key=lambda g: g.start)
+    return [Arc(g.end, h.start) for g, h in zip(gaps, gaps[1:] + gaps[:1])]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(dynamics=st.sampled_from([atlas.UP_LORENZ, atlas.DOWN_LORENZ]),
+       seed=st.integers(0, 2**32 - 1))
+def test_span_iterates_stay_in_trapping_interval(dynamics, seed):
+    (m,) = _random_lorenz_models(dynamics, 1, seed)
+    res = attractor_span(m)
+    R_L, cert = res.trapping.R_L, res.certificate
+    assert cert.gap_arcs and not any(g.full for g in cert.gap_arcs)
+    arcs = [cert.seed, *_covered_arcs(cert.gap_arcs), *cert.terminal_arcs]
+    assert all(_inside_closed(a, R_L) for a in arcs)
+
 
 def test_span_up_lorenz():
     s = attractor_span(M(0.707, 0.30))

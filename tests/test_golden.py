@@ -26,6 +26,12 @@ CONFIGS = {
         "model": {"theta1": 0.19},
         "path": {"start": [0.77, 0.22], "end": [0.79, 0.22], "steps": 401},
     },
+    # a switching path on the default model: ten down-Lorenz steps,
+    # the double heteroclinic point at step 10, then ten up-Lorenz steps, whose
+    # trapping intervals wrap through c+; pinned for ``path`` only
+    "switch": {
+        "path": {"start": [0.754, 0.2458], "end": [0.746, 0.2542], "steps": 21},
+    },
     # the README atlas window at 128^2: unlike the default [0,1]^2 sweep it
     # reaches the HE1 cells and both L+/- wedges; pinned for ``sweep`` only
     "atlas": {
@@ -124,6 +130,10 @@ GOLDEN = {
     "collision401/path": {
         "path.csv": "e10bbcb5d96ef850bf99f197c8d1e7ac92aefd1a996e98c6203b49726cf53bdf",
         "path_report.json": "40e1621d1787db52bf5d1cd721d7ff93f86e757f85d3e6f97cbcd1d015b97b75",
+    },
+    "switch/path": {
+        "path.csv": "48fcfa1102a39a19db456560836f7a2630c40bd5ee1319f518dd37bd66e81e0b",
+        "path_report.json": "a82d23608e37584ff1a35ddb55e0556d1264cf3558a499b7d9928234d533dbf8",
     },
 }
 
