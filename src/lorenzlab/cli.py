@@ -412,7 +412,7 @@ def _word_from_config(config: dict) -> Word:
 def cmd_verify(config: dict) -> dict:
     model = _model(config)
     rep = verify_hypotheses(model)
-    cones = verify_cones(build_skew(model, **config["skew"]), grid_x=200, grid_y=20)
+    cones = verify_cones(build_skew(model, **config["skew"]), grid_x=200)
     e = config["eigenvalues"]
     sing = check_singularity_conditions(
         EigenvalueTriple(e["lambda_ss"], e["lambda_s"], e["lambda_u"]),

@@ -476,9 +476,9 @@ def shoot_matched_model(mx: MapModel, theta1_new: float, match_depth: int,
     one-parameter search: slide alpha' until the itinerary of the second cusp
     beta' reproduces mx's itinerary of q2 to the matching depth.  The itinerary
     is lexicographically monotone in the cusp position, so bisection between
-    the window ends converges to the cylinder; the final parameter is refined
-    to the cylinder midpoint.  Raises KneadingMismatch when the window ends do
-    not bracket the target itinerary.
+    the window ends converges to the cylinder, and one step moves the found
+    parameter to the cylinder midpoint.  Raises KneadingMismatch when the
+    window ends do not bracket the target itinerary.
     """
     target = itinerary(mx, SignedPoint(mx.q2, PLUS), match_depth)
     prof2 = mx.profile2
@@ -506,12 +506,7 @@ def shoot_matched_model(mx: MapModel, theta1_new: float, match_depth: int,
     if cmp_at(lo) < 0 or cmp_at(hi) > 0:
         raise KneadingMismatch("shooting", -1)
     alpha = bisect_increasing(lambda a: -cmp_at(a), 0, lo, hi)
-    model = make(alpha)
-    # refine to the cylinder midpoint of the target word in the found model
-    for _ in range(8):
-        cyl = realize(model, target).interval
-        beta_new = cyl.midpoint()
-        model = make(alpha_for(beta_new))
-        if circle_dist(model.q2, beta_new) < 1e-13:
-            break
-    return model
+    # one step to the cylinder midpoint of the target word in the found model;
+    # the cusp of the refined model is that midpoint up to the round trip
+    # through alpha_for and beta_for
+    return make(alpha_for(realize(make(alpha), target).interval.midpoint()))

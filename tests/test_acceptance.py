@@ -187,7 +187,7 @@ def test_c09_conjugacy():
 
 def test_c10_skew_hypotheses():
     skew = build_skew(M0, kappa=0.2)
-    rep = verify_cones(skew, grid_x=1000, grid_y=100)
+    rep = verify_cones(skew, grid_x=1000)
     assert rep.all_ok
     assert rep.worst_cone_factor <= 0.9
     assert rep.worst_product <= 0.25

@@ -3,6 +3,7 @@ import pytest
 
 from lorenzlab.annulus import (
     SkewModel,
+    _cocycle,
     apply_skew,
     apply_skew_np,
     attractor_cloud,
@@ -14,7 +15,7 @@ from lorenzlab.annulus import (
 from lorenzlab.atlas import attractor_span
 from lorenzlab.circle import Arc, circle_dist
 from lorenzlab.errors import ConeBoundViolated, OnDiscontinuity, PreconditionError, TrackingLost
-from lorenzlab.maps import ModelParams, SignedPoint, build_model
+from lorenzlab.maps import SNAP, ModelParams, SignedPoint, build_model
 from lorenzlab.symbolic import itinerary
 
 
@@ -118,7 +119,7 @@ def test_itinerary_independent_of_y():
 
 
 def test_verify_cones_default():
-    rep = verify_cones(SK, 1000, 100)
+    rep = verify_cones(SK, 1000)
     assert rep.all_ok and rep.analytic_bound_ok
     assert rep.worst_cone_factor <= 0.9
     assert rep.min_expansion >= M0.lambda_min - 1e-9
@@ -128,15 +129,75 @@ def test_verify_cones_default():
 def test_verify_cones_kappa_24_flags_bound():
     # analytic bound exceeds one (flagged) while every sample still passes
     sk = SkewModel(base=M0, kappa=0.24)
-    rep = verify_cones(sk, 400, 50)
+    rep = verify_cones(sk, 400)
     assert not rep.analytic_bound_ok
     assert rep.analytic_cone_bound > 1.0
     assert rep.cone_ok and rep.product_ok
 
 
 def test_verify_cones_single_sample():
-    rep = verify_cones(SK, 2, 1)
+    rep = verify_cones(SK, 2)
     assert rep.all_ok
+
+
+def verify_cones_reference(skew, grid_x, grid_y):
+    """The former 2-D body: an (x, y) grid and a 12-step unstable-slope field
+    for the product, whose samples collapse to 0.25 c- near a discontinuity."""
+    base = skew.base
+    eps = max(SNAP, 1e-6)
+    xs = np.linspace(eps, 1.0 - eps, grid_x)
+    xs = xs[(np.abs(xs - base.c_minus) > eps)]
+    ys = np.linspace(-1.0, 1.0, grid_y)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    x = X.ravel()
+    y = Y.ravel()
+    fprime, rho, drho = _cocycle(base, x)
+    dy_dx = skew.kappa * drho * y
+    dy_dy = skew.kappa * rho
+    slope_pos = np.abs(dy_dx + dy_dy) / fprime
+    slope_neg = np.abs(dy_dx - dy_dy) / fprime
+    worst_cone = float(np.maximum(slope_pos, slope_neg).max())
+    min_expansion = float(fprime.min())
+    xo, yo = x.copy(), y.copy()
+    s = np.zeros_like(xo)
+    for _ in range(12):
+        fpo, rho_o, drho_o = _cocycle(base, xo)
+        s = (skew.kappa * drho_o * yo + skew.kappa * rho_o * s) / fpo
+        xo, yo = apply_skew_np(skew, xo, yo)
+        bad = (np.abs(xo) < eps) | (np.abs(xo - 1.0) < eps) | (np.abs(xo - base.c_minus) < eps)
+        xo = np.where(bad, 0.25 * base.c_minus, xo)
+    fpo, rho_o, drho_o = _cocycle(base, xo)
+    fiber_norm = skew.kappa * rho_o
+    u_norm = np.sqrt(1.0 + s * s)
+    img = np.sqrt(fpo ** 2 + (skew.kappa * drho_o * yo + skew.kappa * rho_o * s) ** 2)
+    du = img / u_norm
+    dinv = u_norm / img
+    worst_product = float((fiber_norm * dinv * du).max())
+    bound = skew.cone_bound()
+    return (worst_cone, min_expansion, worst_product, bound, worst_cone < 1.0,
+            min_expansion >= base.lambda_min - 1e-9, worst_product < 1.0, bound < 1.0)
+
+
+def test_verify_cones_matches_2d_reference():
+    # SkewModel, not build_skew, so that flagged analytic bounds occur; the
+    # expansion floor is lowered so that every drawn (c-, theta) is a model
+    rng = np.random.default_rng(15)
+    flagged = 0
+    for _ in range(1000):
+        c, t1, t2 = rng.uniform(0.42, 0.58), *rng.uniform(0.0, 0.19, 2)
+        base = M(*rng.uniform(0.0, 1.0, 2), c_minus=c, theta1=t1, theta2=t2,
+                 lambda_min_required=1.3)
+        skew = SkewModel(base=base, kappa=rng.uniform(0.01, 0.25))
+        gx, gy = int(rng.integers(1, 600)), int(rng.integers(1, 60))
+        rep = verify_cones(skew, gx)
+        ref = verify_cones_reference(skew, gx, gy)
+        got = (rep.worst_cone_factor, rep.min_expansion, rep.worst_product,
+               rep.analytic_cone_bound, rep.cone_ok, rep.expansion_ok, rep.product_ok,
+               rep.analytic_bound_ok)
+        assert got[:2] + got[3:] == ref[:2] + ref[3:]
+        assert abs(got[2] - ref[2]) <= 2 * np.spacing(ref[2])
+        flagged += not rep.analytic_bound_ok
+    assert flagged > 0
 
 
 def test_cloud_depth_guard():

@@ -17,6 +17,7 @@ from lorenzlab.maps import (
     MapModel,
     ModelParams,
     SignedPoint,
+    bisect_increasing,
     build_model,
 )
 from lorenzlab.symbolic import (
@@ -616,6 +617,61 @@ def test_shooting_matches_scan_reference(theta1_new):
     ref = _shoot_with_scan(M0, theta1_new, 30)
     assert abs(shot.params.alpha - ref.params.alpha) <= 1e-9
     assert shot.params.theta1 == theta1_new
+
+
+def shoot_matched_model_reference(mx, theta1_new, match_depth, window=0.03):
+    """The former body: after the bisection, up to 8 refinement passes that
+    stop once the new cusp is within 1e-13 of the midpoint it was built from."""
+    target = itinerary(mx, SignedPoint(mx.q2, PLUS), match_depth)
+    prof2 = mx.profile2
+
+    def beta_for(alpha):
+        return norm1(mx.c_minus - prof2.g(alpha - mx.c_minus))
+
+    def alpha_for(beta):
+        want = norm1(mx.c_minus - beta)
+        return mx.c_minus + bisect_increasing(prof2.g, want, 0.0, prof2.length)
+
+    def make(alpha):
+        return build_model(replace(
+            mx.params, alpha=alpha, beta=beta_for(alpha), theta1=theta1_new))
+
+    def cmp_at(alpha):
+        m = make(alpha)
+        return lex_compare(itinerary(m, SignedPoint(m.q2, PLUS), match_depth), target)[0]
+
+    lo = mx.params.alpha - window
+    hi = mx.params.alpha + window
+    if cmp_at(lo) < 0 or cmp_at(hi) > 0:
+        raise KneadingMismatch("shooting", -1)
+    alpha = bisect_increasing(lambda a: -cmp_at(a), 0, lo, hi)
+    model = make(alpha)
+    for _ in range(8):
+        cyl = realize(model, target).interval
+        beta_new = cyl.midpoint()
+        model = make(alpha_for(beta_new))
+        if circle_dist(model.q2, beta_new) < 1e-13:
+            break
+    return model
+
+
+@pytest.mark.parametrize("theta1", [0.0, 0.1, 0.19])
+@pytest.mark.parametrize("depth", [2, 10, 30, 60])
+def test_shooting_matches_refinement_loop_reference(theta1, depth):
+    # one refinement step gives the former loop's params bit for bit, and a
+    # shoot the loop refused (no bracket, or a cylinder too thin to realize)
+    # fails with the same error
+    mx = M(0.6, 0.3, theta1=theta1)
+    rng = np.random.default_rng(int(theta1 * 100) * 100 + depth)
+    for theta1_new in rng.uniform(0.0, 0.19, 5).tolist():
+        try:
+            ref = shoot_matched_model_reference(mx, theta1_new, depth)
+        except (KneadingMismatch, EmptyCylinder) as exc:
+            with pytest.raises(type(exc)) as err:
+                shoot_matched_model(mx, theta1_new, depth)
+            assert err.value.args == exc.args
+            continue
+        assert shoot_matched_model(mx, theta1_new, depth).params == ref.params
 
 
 def test_shooting_rejects_unbracketed_window():
