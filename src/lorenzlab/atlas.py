@@ -237,7 +237,10 @@ def iterate_segments(model: MapModel, seed: Arc, maxN: int, eps: float) -> Cover
     Each step splits every arc at the two discontinuities, maps the pieces
     through the branch lifts, and merges the images into both the running
     family and the accumulated union.  Stops when the complement of the union
-    has total length below eps, or after maxN steps.  Complement components
+    has total length below eps, when the merged family repeats (no later step
+    could then change the union, its gaps or the terminal arcs), or after
+    maxN steps; ``history`` holds the covered length before the first step
+    and after each step taken.  Complement components
     shorter than eps are reported as isolated missed points.  Nothing is
     clipped: ``attractor_span`` seeds inside a certified trapping interval,
     and the certificate's positive margin keeps every iterate there.
@@ -259,6 +262,9 @@ def iterate_segments(model: MapModel, seed: Arc, maxN: int, eps: float) -> Cover
             raise ArcBudgetExceeded(f"{len(pieces)} arcs at step {step}")
         merged = ArcUnion()
         merged.add_many(pieces)
+        if merged.intervals() == family:
+            # the map is deterministic, so every later family is this one
+            break
         # a merged union is canonical and copies its endpoints, so adding the
         # merged family gives the union that adding the raw pieces would
         family = merged.intervals()

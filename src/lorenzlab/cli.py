@@ -18,6 +18,7 @@ import json
 import math
 import sys
 from dataclasses import replace
+from itertools import cycle, islice
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,7 @@ from .circle import Arc, norm1
 from .errors import (
     BudgetError,
     ConfigError,
+    EmptyCylinder,
     ParseError,
     PreconditionError,
     ValidationError,
@@ -259,12 +261,32 @@ def render_pgm(img: np.ndarray) -> bytes:
     return f"P5\n{w} {h}\n255\n".encode() + img.astype(np.uint8).tobytes()
 
 
-def _csv(header: list[str], lines, values) -> bytes:
-    """CSV document from a header and %-template lines, filled from
-    ``values`` in order in one pass: floats as %.12g, bools and counts as
-    %d."""
-    body = "\n".join(lines) % tuple(values)
-    return f"{','.join(header)}\n{body}\n".encode()
+# rows per block of CSV text: a block's cells, filled template and encoded
+# text exist only while it is appended, so a table is held about once
+CSV_BLOCK_ROWS = 4096
+
+
+def _csv(header: list[str], lines, columns) -> bytearray:
+    """CSV document from a header, %-template lines and value columns.
+
+    Row k fills line ``lines[k % len(lines)]`` from ``columns[i][k]`` in
+    column order: floats as %.12g, bools and counts as %d.  A column is a
+    list, tuple or numpy array with one value per row.  The rows are
+    formatted, encoded and appended to one buffer CSV_BLOCK_ROWS at a time,
+    so neither the cells nor the text of the whole table is ever built.
+    """
+    rows, width = len(columns[0]), len(columns)
+    line = cycle(lines)
+    out = bytearray(f"{','.join(header)}\n".encode())
+    for lo in range(0, rows, CSV_BLOCK_ROWS):
+        hi = min(lo + CSV_BLOCK_ROWS, rows)
+        cells = [None] * (width * (hi - lo))
+        for i, column in enumerate(columns):
+            block = column[lo:hi]
+            cells[i::width] = block.tolist() if isinstance(block, np.ndarray) else block
+        template = "\n".join(islice(line, hi - lo)) + "\n"
+        out += (template % tuple(cells)).encode()
+    return out
 
 
 def _arc_json(arc):
@@ -308,17 +330,16 @@ def run_sweep(config: dict):
     lambda_min = build_model(params).lambda_min
     strata, margins, _, _ = classify_grid(params, alphas, betas[:, None])
     # alpha and lambda_min are formatted into the row template once, beta once
-    # per grid row, stratum,dynamics once per stratum, the margin per cell
+    # per grid row, stratum,dynamics once per stratum, the margin per cell;
+    # the text columns are object arrays of references to those strings
     lam = f"{lambda_min:.12g}"
     row = [f"{a:.12g},%s,%s,%.12g,{lam}" for a in alphas.tolist()]
-    beta_texts = [f"{b:.12g}" for b in betas.tolist()]
-    classes = [f"{label},{atlas.STRATUM_DYNAMICS[label]}" for label in atlas.STRATA]
-    cells = [None] * (3 * nx * ny)
-    cells[0::3] = [text for text in beta_texts for _ in range(nx)]
-    cells[1::3] = [classes[k] for k in strata.ravel().tolist()]
-    cells[2::3] = margins.ravel().tolist()
+    beta_texts = np.array([f"{b:.12g}" for b in betas.tolist()], dtype=object)
+    classes = np.array([f"{label},{atlas.STRATUM_DYNAMICS[label]}"
+                        for label in atlas.STRATA], dtype=object)
     csv_bytes = _csv(["alpha", "beta", "stratum", "dynamics", "margin", "lambda_min"],
-                     row * ny, cells)
+                     row, [np.repeat(beta_texts, nx), classes[strata.ravel()],
+                           margins.ravel()])
     return strata, margins, csv_bytes, render_raster(strata[::-1])
 
 
@@ -354,8 +375,7 @@ def run_path(config: dict):
             jumps.append(k)
         prev_len = length
     csv_bytes = _csv(["step", "alpha", "beta", "stratum", "span_length",
-                      "span_full", "trap_margin"], lines,
-                     [v for row in rows for v in row])
+                      "span_full", "trap_margin"], lines, list(zip(*rows)))
     report = {"jump_steps": jumps,
               "first_jump_step": jumps[0] if jumps else None,
               "jump_count": len(jumps)}
@@ -378,8 +398,8 @@ def run_histogram(config: dict):
         orbit[i] = x
     counts, edges = np.histogram(orbit[h["burn_in"]:], bins=h["bins"], range=(0.0, 1.0))
     rows = [[i, edges[i], edges[i + 1], int(c)] for i, c in enumerate(counts)]
-    csv_bytes = _csv(["bin", "lo", "hi", "count"], ["%d,%.12g,%.12g,%d"] * len(rows),
-                     [v for row in rows for v in row])
+    csv_bytes = _csv(["bin", "lo", "hi", "count"], ["%d,%.12g,%.12g,%d"],
+                     list(zip(*rows)))
     return rows, csv_bytes
 
 
@@ -471,7 +491,11 @@ def cmd_realize(config: dict) -> dict:
 def cmd_conjugacy(config: dict) -> dict:
     model = _model(config)
     cj = config["conjugacy"]
-    other = shoot_matched_model(model, cj["theta1_other"], cj["match_depth"])
+    try:
+        other = shoot_matched_model(model, cj["theta1_other"], cj["match_depth"])
+    except EmptyCylinder as exc:
+        raise PreconditionError(f"matched-model shoot: {exc}; conjugacy.match_depth "
+                                f"{cj['match_depth']} is past realize's resolution") from exc
     result = build_conjugacy(model, other, cj["match_depth"], cj["grid"])
     return {
         "conjugacy.json": {
@@ -479,8 +503,8 @@ def cmd_conjugacy(config: dict) -> dict:
             "other_theta1": other.params.theta1,
             "defect": result.defect, "interp_defect": result.interp_defect,
             "monotone": result.monotone, "pairs": len(result.pairs)},
-        "conjugacy_pairs.csv": _csv(["x", "h_x"], ["%.12g,%.12g"] * len(result.pairs),
-                                    [v for pair in result.pairs for v in pair]),
+        "conjugacy_pairs.csv": _csv(["x", "h_x"], ["%.12g,%.12g"],
+                                    list(zip(*result.pairs))),
     }
 
 
@@ -506,8 +530,7 @@ def cmd_attractor2d(config: dict) -> dict:
     cloud = attractor_cloud(skew, **config["cloud"])
     points = cloud.points
     return {
-        "cloud.csv": _csv(["x", "y"], ["%.12g,%.12g"] * len(points),
-                          points.ravel().tolist()),
+        "cloud.csv": _csv(["x", "y"], ["%.12g,%.12g"], [points[:, 0], points[:, 1]]),
         "cloud.pgm": render_pgm(cloud.raster),
         "attractor2d.json": {"leaf_span": leaf_span_2d(points)},
     }

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -151,13 +152,109 @@ def _row_wise_sweep(config):
      "sweep": {"grid_nx": 9, "grid_ny": 9,
                "alpha_range": [0.3, 0.7], "beta_range": [0.3, 0.7]}},
     {"sweep": {"grid_nx": 2, "grid_ny": 2}},
-], ids=["wrapped", "degenerate", "2x2"])
+    # 4,160 cells: the first CSV block ends one cell into grid row 63
+    {"sweep": {"grid_nx": 65, "grid_ny": 64,
+               "alpha_range": [0.68, 0.82], "beta_range": [0.18, 0.32]}},
+], ids=["wrapped", "degenerate", "2x2", "block-edge"])
 def test_sweep_emitters_match_row_wise_oracle(doc):
     cfg = load(doc)
     *_, csv_bytes, ppm = cli.run_sweep(cfg)
     want_csv, want_ppm = _row_wise_sweep(cfg)
     assert csv_bytes == want_csv
     assert ppm == want_ppm
+
+
+def _csv_reference(header, lines, values):
+    """The CSV emitter before row blocks: one %-fill of the whole table,
+    from one template line per row and all cells in one flat sequence."""
+    body = "\n".join(lines) % tuple(values)
+    return f"{','.join(header)}\n{body}\n".encode()
+
+
+def _emitter_inputs(kind, n, rng):
+    """An n-row table shaped as one CLI output's: the header, then the
+    (lines, columns) that ``_csv`` takes and the (lines, values) that the
+    callers gave ``_csv_reference``."""
+    x = rng.standard_normal((n, 2)) * 10.0 ** rng.integers(-30, 30, (n, 2))
+    if kind == "sweep":
+        row = [f"{a:.12g},%s,%s,%.12g,{math.pi:.12g}" for a in rng.uniform(size=7)]
+        betas = np.array([f"{b:.12g}" for b in rng.uniform(size=n)], dtype=object)
+        classes = np.array([f"{label},{atlas.STRATUM_DYNAMICS[label]}"
+                            for label in atlas.STRATA], dtype=object)
+        cells = classes[rng.integers(0, len(classes), n)]
+        values = [v for k in range(n) for v in (betas[k], cells[k], x[k, 0])]
+        return (["alpha", "beta", "stratum", "dynamics", "margin", "lambda_min"],
+                row, [betas, cells, x[:, 0]], (row * n)[:n], values)
+    if kind == "path":
+        full = rng.integers(0, 2, n).astype(bool).tolist()
+        rows = [[k, a, b, atlas.STRATA[k % len(atlas.STRATA)], length, f,
+                 "" if f else m]
+                for k, (a, b, length, m, f) in enumerate(zip(
+                    *x.T.tolist(), *rng.uniform(size=(2, n)).tolist(), full))]
+        lines = ["%d,%.12g,%.12g,%s,%.12g,%d," + ("%s" if f else "%.12g") for f in full]
+        return (["step", "alpha", "beta", "stratum", "span_length", "span_full",
+                 "trap_margin"], lines, list(zip(*rows)), lines,
+                [v for row in rows for v in row])
+    if kind == "histogram":
+        edges = np.sort(rng.uniform(size=n + 1))
+        rows = [[i, edges[i], edges[i + 1], int(c)]
+                for i, c in enumerate(rng.integers(0, 10**9, n))]
+        return (["bin", "lo", "hi", "count"], ["%d,%.12g,%.12g,%d"],
+                list(zip(*rows)), ["%d,%.12g,%.12g,%d"] * n,
+                [v for row in rows for v in row])
+    if kind == "conjugacy_pairs":
+        pairs = [tuple(p) for p in x.tolist()]
+        return (["x", "h_x"], ["%.12g,%.12g"], list(zip(*pairs)),
+                ["%.12g,%.12g"] * n, [v for pair in pairs for v in pair])
+    return (["x", "y"], ["%.12g,%.12g"], [x[:, 0], x[:, 1]],
+            ["%.12g,%.12g"] * n, x.ravel().tolist())
+
+
+_B = cli.CSV_BLOCK_ROWS
+
+
+@pytest.mark.parametrize("rows", [1, _B - 1, _B, _B + 1, 3 * _B + 7])
+@pytest.mark.parametrize("kind", ["sweep", "path", "histogram", "conjugacy_pairs",
+                                  "cloud"])
+def test_csv_blocks_match_one_pass_reference(kind, rows):
+    header, lines, columns, ref_lines, ref_values = _emitter_inputs(
+        kind, rows, np.random.default_rng(rows))
+    got = cli._csv(header, lines, columns)
+    assert got == _csv_reference(header, ref_lines, ref_values)
+    assert got.count(b"\n") == rows + 1
+
+
+def _python_peak(fn):
+    """fn's result and the peak of Python allocations while it runs."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    base, _ = tracemalloc.get_traced_memory()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return result, peak - base
+
+
+def test_csv_emission_holds_a_table_about_once():
+    # whole-table formatting held every cell, their tuple, the text and its
+    # bytes at once: 4.1x the CSV length on this sweep and 5.7x on the
+    # 48,000-point cloud.  Row blocks measure 1.77x and 2.52x, so the bounds
+    # leave 13% and 39% headroom; whole-table formatting fails both
+    cfg = load(sweep={"grid_nx": 256, "grid_ny": 256})
+    cli.run_sweep(cfg)              # first-call imports and caches are not the emitter's
+    (*_, csv_bytes, _), peak = _python_peak(lambda: cli.run_sweep(cfg))
+    assert peak <= 2.0 * len(csv_bytes)
+
+    cfg = load(cloud={"samples": 4000})
+    cli.cmd_attractor2d(cfg)
+    outputs, peak = _python_peak(lambda: cli.cmd_attractor2d(cfg))
+    assert outputs["cloud.csv"].count(b"\n") == 48_001
+    assert peak <= 3.5 * len(outputs["cloud.csv"])
 
 
 def test_path_collision_detector_fires_once():
@@ -280,6 +377,10 @@ def test_main_exit_codes(tmp_path):
     assert cli.main(["attractor2d", "--config", str(cone), "--out", str(tmp_path)]) == 3
 
 
+_PAST_RESOLUTION = json.dumps({"model": {"theta1": 0.0},
+                               "conjugacy": {"theta1_other": 0.01039696861402244,
+                                             "match_depth": 60}})
+
 BAD_INPUTS = [
     # (command, config text, exit code)
     ("realize", '{"word": {"letters": "A0 A0"}}', 3),          # EmptyCylinder
@@ -320,6 +421,9 @@ BAD_INPUTS = [
     ("verify", '{"eigenvalues": {"N": 9007199254740991}}', 4),   # bare MemoryError
     ("sweep", '{"sweep": {"grid_nx": 1000000000000000}}', 4),
     ("path", '{"path": {"steps": 1000000000000000}}', 4),
+    # a cusp word the shoot matches to depth 60 whose cylinder realize cannot
+    # resolve past depth 36
+    pytest.param("conjugacy", _PAST_RESOLUTION, 3, id="conjugacy-match_depth-60-3"),
 ]
 
 
@@ -342,6 +446,14 @@ def test_main_bad_input_exits_cleanly(command, text, code, tmp_path, capsys,
     assert err.count("\n") == 1 and "Traceback" not in err
     # the line names the error kind and then says what went wrong
     assert err.partition(": ")[2].strip()
+
+
+def test_main_conjugacy_past_resolution_names_match_depth(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(_PAST_RESOLUTION)
+    assert cli.main(["conjugacy", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "conjugacy.match_depth" in err and "shoot" in err
 
 
 @pytest.mark.parametrize("exc", [NotMarkov("strip not crossed"),
