@@ -1,5 +1,21 @@
 """Return-map laboratory for up/down/two-sided Lorenz attractors."""
 
+import os
+import sys
+
+# No module of this package calls a BLAS routine (tests/test_blas.py's
+# test_package_calls_no_blas_routine checks the source), yet numpy's bundled
+# OpenBLAS starts one busy-waiting worker per CPU when it loads.  Load it
+# with one thread.  OpenBLAS reads the variable only then, so it is removed
+# again: subprocesses see the caller's environment.  A value the caller set,
+# or a numpy imported before this package, is left alone.
+if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
 from .circle import Arc, ArcUnion, arc_contains, circle_dist, dist_ccw, norm1
 from .maps import (
     PHI,

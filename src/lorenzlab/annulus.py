@@ -84,10 +84,11 @@ def apply_skew_np(skew: SkewModel, x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     two = x >= skew.base.c_minus
-    _, start, profile = branch_lanes(skew.base, two)
-    rho = np.sin(np.pi * (x - start) / profile.length)
+    q, start, profile = branch_lanes(skew.base, two)
+    t = x - start
+    rho = np.sin(np.pi * t / profile.length)
     eta = np.where(two, skew.eta2, skew.eta1)
-    return skew.base.f_np(x), eta + skew.kappa * rho * y
+    return (q + profile.g_np(t)) % 1.0, eta + skew.kappa * rho * y
 
 
 @dataclass
@@ -182,8 +183,10 @@ def attractor_cloud(skew: SkewModel, depth: int, samples: int,
     else:
         x = np.mod(seed_arc.start + rng.uniform(0.0, seed_arc.length, samples), 1.0)
     y = rng.uniform(-0.95, 0.95, samples)
-    # the burn-in steps all write row 0, which the first kept step overwrites
-    px, py = np.empty((2, max(depth, 1), samples))
+    # the burn-in steps all write row 0, which the first kept step overwrites;
+    # the points are a transposed view of this buffer, not a copy
+    orbit = np.empty((2, max(depth, 1), samples))
+    px, py = orbit
     for i in range(burn_in + len(px)):
         x, y = apply_skew_np(skew, _cross_discontinuity(skew.base, x), y)
         px[max(i - burn_in, 0)], py[max(i - burn_in, 0)] = x, y
@@ -191,13 +194,13 @@ def attractor_cloud(skew: SkewModel, depth: int, samples: int,
 
     cols = np.clip((px * width).astype(int), 0, width - 1)
     rows = np.clip(((1.0 - (py + 1.0) / 2.0) * height).astype(int), 0, height - 1)
-    raster = np.zeros((height, width), dtype=np.int64)
-    np.add.at(raster, (rows, cols), 1)
-    if raster.max() > 0:
-        img = (255.0 * raster / raster.max()).astype(np.uint8)
-    else:
-        img = raster.astype(np.uint8)
-    return CloudResult(points=np.column_stack([px, py]), raster=img)
+    hits = np.bincount(rows * width + cols, minlength=height * width)
+    # a pixel with k hits shows 255.0 * k / peak, read from a table of those
+    # values for k = 0..peak, so no float image is held
+    peak = max(hits.max(), 1)
+    shade = (255.0 * np.arange(peak + 1) / peak).astype(np.uint8)
+    return CloudResult(points=orbit.reshape(2, -1).T,
+                       raster=shade[hits].reshape(height, width))
 
 
 def leaf_span_2d(points: np.ndarray) -> Arc:

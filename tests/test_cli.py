@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lorenzlab import atlas, cli
+from lorenzlab.annulus import attractor_cloud, build_skew
 from lorenzlab.errors import (
     KneadingRecursionViolated,
     NotMarkov,
@@ -255,6 +256,19 @@ def test_csv_emission_holds_a_table_about_once():
     outputs, peak = _python_peak(lambda: cli.cmd_attractor2d(cfg))
     assert outputs["cloud.csv"].count(b"\n") == 48_001
     assert peak <= 3.5 * len(outputs["cloud.csv"])
+
+
+def test_attractor_cloud_holds_no_float_image():
+    # counting hits in an int64 raster with np.add.at and scaling it through
+    # a float64 image, with the points copied into a new (n, 2) array, peaked
+    # at 3.78x the default cloud.csv; bincount, the shade table and the
+    # points as a view of the orbit buffer measure 2.55x, so the bound leaves
+    # 18% headroom
+    cfg = load()
+    csv_length = len(cli.cmd_attractor2d(cfg)["cloud.csv"])
+    skew = build_skew(cli._model(cfg), **cfg["skew"])
+    _, peak = _python_peak(lambda: attractor_cloud(skew, **cfg["cloud"]))
+    assert peak <= 3.0 * csv_length
 
 
 def test_path_collision_detector_fires_once():
