@@ -7,9 +7,11 @@ import sys
 # test_package_calls_no_blas_routine checks the source), yet numpy's bundled
 # OpenBLAS starts one busy-waiting worker per CPU when it loads.  Load it
 # with one thread.  OpenBLAS reads the variable only then, so it is removed
-# again: subprocesses see the caller's environment.  A value the caller set,
-# or a numpy imported before this package, is left alone.
-if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
+# again: subprocesses see the caller's environment.  A pool size the caller
+# set in any variable OpenBLAS reads, or a numpy imported before this
+# package, is left alone.
+_POOL_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+if "numpy" not in sys.modules and not any(v in os.environ for v in _POOL_VARIABLES):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
         import numpy

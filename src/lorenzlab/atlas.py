@@ -17,14 +17,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .circle import (
-    TOL,
     Arc,
     ArcUnion,
     arc_contains,
     circle_dist,
     circle_dist_np,
     dist_ccw,
-    dist_ccw_np,
     linear_pieces,
     norm1,
 )
@@ -103,14 +101,15 @@ def classify_grid(params: ModelParams, alphas, betas):
     The rule, first match wins: a cusp within SNAP of a discontinuity is
     homoclinic (H12 when both cusps sit on the same one, else H1 before H2).
     Otherwise the fixed points decide the quadrant, and in the doubly-fixed
-    quadrant the heteroclinic loci (a cusp within SNAP of the other branch's
-    fixed point) come next; off them the cusps are located relative to the
-    two components sigma+ = (p2, p1) and sigma- = (p1, p2) that the fixed
-    points cut out.  The margin is the least cusp-to-discontinuity distance,
-    and off the homoclinic loci in the doubly-fixed quadrant also the least
-    heteroclinic distance.  SNAP is also the distance at which
-    ``maps.fixed_points`` refuses a homoclinic cusp, so that refusal is never
-    reached from here.
+    quadrant the heteroclinic loci HE1 {q1 = p2} and HE2 {q2 = p1} (a cusp
+    within SNAP of the other branch's fixed point) come next.  These two
+    collision curves cut the rest of the quadrant in three: L+ where both
+    cusps lie in sigma+ = (p2, p1), that is q1 > p2 and q2 < p1, L- where
+    neither does, and tilde otherwise.  The margin is the least
+    cusp-to-discontinuity distance, and off the homoclinic loci in the
+    doubly-fixed quadrant also the least heteroclinic distance.  SNAP is also
+    the distance at which ``maps.fixed_points`` refuses a homoclinic cusp, so
+    that refusal is never reached from here.
     """
     c = params.c_minus
     alphas, betas = np.asarray(alphas, dtype=float), np.asarray(betas, dtype=float)
@@ -129,12 +128,9 @@ def classify_grid(params: ModelParams, alphas, betas):
     he1_d = circle_dist_np(q1, p2)
     he2_d = circle_dist_np(q2, p1)
     he1, he2 = he1_d <= SNAP, he2_d <= SNAP
-    # cusp q in the open arc sigma+ = (p2, p1), as arc_contains decides it
-    sp_len = dist_ccw_np(p2, p1)
-    d = dist_ccw_np(p2, q1)
-    in1 = (TOL < d) & (d < sp_len - TOL)
-    d = dist_ccw_np(p2, q2)
-    in2 = (TOL < d) & (d < sp_len - TOL)
+    # sigma+ = (p2, p1) runs through c+, as p1 < c- < p2 in the ++ quadrant,
+    # so q1 > c- lies in it exactly when q1 > p2, and q2 < c- when q2 < p1
+    in1, in2 = q1 > p2, q2 < p1
     symmetric = params.theta1 == params.theta2 and abs(c - 0.5) <= SNAP
 
     # a mixed double loop (each cusp on a different discontinuity) lies in H1

@@ -39,12 +39,6 @@ def circle_dist(a: float, b: float) -> float:
     return min(d, 1.0 - d)
 
 
-def dist_ccw_np(a, b):
-    """Vectorized dist_ccw; equal to it bit for bit on every element."""
-    d = np.mod(np.subtract(b, a), 1.0)
-    return np.where(d > 1.0 - TOL, 0.0, d)
-
-
 def circle_dist_np(a, b):
     """Vectorized circle_dist; equal to it bit for bit on every element."""
     d = np.abs(np.mod(np.subtract(b, a), 1.0))

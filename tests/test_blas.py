@@ -53,4 +53,9 @@ def test_import_loads_openblas_with_one_thread():
     assert _fresh("import os, lorenzlab; " + count) == ["1", "None"]
     assert _fresh("import os, lorenzlab; " + count,
                   OPENBLAS_NUM_THREADS="2") == [str(min(2, pool)), "2"]
+    # OpenBLAS also reads the other two pool variables, so a caller's value
+    # there is left alone too
+    for variable in ("OMP_NUM_THREADS", "GOTO_NUM_THREADS"):
+        assert _fresh("import os, lorenzlab; " + count,
+                      **{variable: "2"}) == [str(min(2, pool)), "None"], variable
     assert _fresh("import os, numpy, lorenzlab; " + count) == [str(pool), "None"]

@@ -46,94 +46,94 @@ GOLDEN = {
         "sweep.ppm": "de5540cfc1d1cc04be9609042da31255029a2232f05c0fead2378e16d82da9cf",
     },
     "default/admissible": {
-        "admissible.json": "10664700685a2170403f84138130b24d116524bdc400cfa0a2b029b5e0d9fe3a",
+        "admissible.json": "7682474710ebf79285f90e04bab8ab71ec1122ae74b3c3d7c55c82c02f8f8d28",
     },
     "default/attractor2d": {
-        "attractor2d.json": "fa3487a88882798fc50590c6895b4db6240ea6a5a36ef24890fd4addf4c05557",
+        "attractor2d.json": "f3b7f5733265e1640c4c57aeeb90978add9f604a577b5528326a47f401baf88b",
         "cloud.csv": "e4d14d29158573d6ef793b8498365b39bcd8dcf774ae0995e6c2c905909dffa9",
         "cloud.pgm": "45b3f68b332211d868589367711750bad47d60408a7891270d4c412ac9e00267",
     },
     "default/classify": {
-        "classify.json": "1878eb6f6a609847df7d92e8872ce17afc321eb6bfd63c909684eadffe22aab9",
+        "classify.json": "be8005e3420445a0b4874980018fe056873b604819927f9dc87813961cc25c00",
     },
     "default/conjugacy": {
-        "conjugacy.json": "e52d3282c604e18a73a093f53736a53e1d37574e465b4b5e60ce898fead39ae7",
+        "conjugacy.json": "878de34e6fe11516812d204dea2640f460c66bf275cd172bb6c87da04f3c82ad",
         "conjugacy_pairs.csv": "152a927ca84b2ca2a9bffbeec46366d114c9599076a49a177e36b948f9fe4cf9",
     },
     "default/degree": {
-        "degree.json": "69c9832e277a7b9e7b5c2803eecf7dceb08b975f4bab6bdc9a51724baf34da2c",
+        "degree.json": "059903dac3c0878a164abb9123263f6b180c99944807d70b114318c84f39c2f7",
     },
     "default/histogram": {
         "histogram.csv": "bcbbfe93547b9d43df29f43de1794781f410368de5e18370f32226559d20e0fb",
     },
     "default/itinerary": {
-        "itinerary.json": "981363efdbb6534f40f900b222e55add193f317ee632efb947c01c7897feab84",
+        "itinerary.json": "2fc29f8682354901f7248376ed6de32097d85902468d2326b71389be616b3806",
     },
     "default/kneading": {
-        "kneading.json": "d8bb449e3e2ab70f7aa31a1e5a788cd59d131c763224b8a241ede28ee2fc16d3",
+        "kneading.json": "416ecd4040afb27ca4f3ef6a94f2d8f447d970497883b1bb512447505007e34a",
     },
     "default/path": {
         "path.csv": "83feb9a3440af87c6018f9a25786b10d2dfa89d5ab79e9299b4531bbcf8c9f6a",
-        "path_report.json": "7aabadee74997cefd967b483347ae2853fd71f1253ff8c0b0d8a498b9733b564",
+        "path_report.json": "32ffbbd1440c4d61d6b54b45d506275cd078f5663ddb1a19f5a6fe166dabfba0",
     },
     "default/realize": {
-        "realize.json": "c44da2c2dfb179f5b9da745a423b4a3b8e309f28a4679d54f78a6c8ea10544af",
+        "realize.json": "68966a7d9d554dff3aed6396245090babe40ebb69a45f13b91fda54a2602f452",
     },
     "default/sweep": {
         "sweep.csv": "d98957a0ea71783e6a11eb55f09f6c400f76fb01222b8d8bfb26fe30bcce594a",
         "sweep.ppm": "7cda2960d273184767e4c6cd9be700f5974b73f0f133b3c1ea64cdfa5cb67bd9",
     },
     "default/verify": {
-        "verify.json": "53cc57793a65f2b166a1922784e17e38ff6884fe4da31981624fc26507c7a5a4",
+        "verify.json": "3ff2843347db4d6e1100920e870e0ded78dceab9d924d9b22c086090241ae83c",
     },
     "collision/admissible": {
-        "admissible.json": "b442d7f6e5a86a885c028411caea21226392d4ee28f4024487d3e53a02b22d58",
+        "admissible.json": "6266bbf9b41d3671e9d26a48cb73201f992cc9877b3d91139b7d4aa735ddc31e",
     },
     "collision/attractor2d": {
-        "attractor2d.json": "bde31798c0ccb4092858431546fd43e7dbdfc164f233fe35e8434ab05ce9a9f4",
+        "attractor2d.json": "eedb1e52102dde5c8248d69c619787d8b7b2a03acfedd9c2ccf6780ea97a046f",
         "cloud.csv": "8aa9c8b981b275b469a0df4439d3182c12f703252ca63d39189559b3560cde15",
         "cloud.pgm": "2bff6dcb374b2210ce094cb9e6dae91cfee62e2b2eb87aa5ab4ed3f83fa4d7b8",
     },
     "collision/classify": {
-        "classify.json": "4a45e3b7e9abb6c5b4d8e104f910c360dbc08aac4c55dc6dc1f419050ee4d340",
+        "classify.json": "6a24022e4a5404b0ec50701459a6cdf515a14f47eb93ad76361b451776cd7a59",
     },
     "collision/conjugacy": {
-        "conjugacy.json": "fa9ed04589bcabe45f81a85571b396111e1ae8c507814a9ecc234a7fd978aeae",
+        "conjugacy.json": "7a4a9796bb21223f5890b23230fcfe94831ca8b82543026cb34974ad3b1e2ac2",
         "conjugacy_pairs.csv": "d0c095e93ad1d5b2e6343370197efaccbd5c765552f65afe1c100629066e6e84",
     },
     "collision/degree": {
-        "degree.json": "11d91e230303f60744faca4d32aadde1a98e9f78019d355f616b00f19b6e8fdd",
+        "degree.json": "9951667310dbbf94d9cff52ca63d18fcc7d03f9c5acf0eb18359e322e545580d",
     },
     "collision/histogram": {
         "histogram.csv": "20869ff0d85a2193477abb38b47c494552202bd56bb9d205b842c9306bc52cc4",
     },
     "collision/itinerary": {
-        "itinerary.json": "d6913456e8a142991a62656aed483b464c847409a5cc23b0c01aec4a2cd1dbbe",
+        "itinerary.json": "d9fb0ba148195ed3d56df2058359438345bde0263e42ceb597b4b037e9091fba",
     },
     "collision/kneading": {
-        "kneading.json": "1c4b5b492cda8d9055b3c852d262aabf4c5570f10aba9af7b45c5c28eb3d81b0",
+        "kneading.json": "ab7012d4d6381d2caa47159db217b99dc628bbf7c4a5310afb854a5b2cec5c3e",
     },
     "collision/path": {
         "path.csv": "3a888ce3d955bca12ee53e3918e3544cd36033a9686b60602a5fe22632c9ede4",
-        "path_report.json": "227d8bf116db8e1084f46a4f1eca2ff4713e282df84e52dd1d5b21a868fcf376",
+        "path_report.json": "47e6c20dfa75ba4c1994abbf5b44a38c4e43cd876cbe6aab8e596c4c9a848b29",
     },
     "collision/realize": {
-        "realize.json": "2d2a66f58d316638f9408b24948ddccf09cb4297ce5c2b3fc5c282a6c759906f",
+        "realize.json": "dfdb682885b7bcbe5322726b6ec8ef7316e2205687c798964dc8c301c71d252a",
     },
     "collision/sweep": {
         "sweep.csv": "4cca84c51929b496d04bd65200bf5fa406f1507e5a29effc14e3c38665526316",
         "sweep.ppm": "aa45b88d4fb2f36600769f4cc3aea7cab1a9adbcdf39100a614b32aa0d05d906",
     },
     "collision/verify": {
-        "verify.json": "3b0e66bd264c6d37311a515c6e9a07afeaf2c4d4b8c302d7ab0b6115e1e90b1e",
+        "verify.json": "81adbcf3ae3c530cfee9f3418b0958d6d9f88589fb4591f9c46e0f0c760b6bc6",
     },
     "collision401/path": {
         "path.csv": "e10bbcb5d96ef850bf99f197c8d1e7ac92aefd1a996e98c6203b49726cf53bdf",
-        "path_report.json": "40e1621d1787db52bf5d1cd721d7ff93f86e757f85d3e6f97cbcd1d015b97b75",
+        "path_report.json": "adba834c6eeaafb922b3ea8f4b263c9dc8a53b1e3012f4ec0cd337b9f6a8f21d",
     },
     "switch/path": {
         "path.csv": "48fcfa1102a39a19db456560836f7a2630c40bd5ee1319f518dd37bd66e81e0b",
-        "path_report.json": "a82d23608e37584ff1a35ddb55e0556d1264cf3558a499b7d9928234d533dbf8",
+        "path_report.json": "661f2abdf47cb2f36407a63746fdd765a7fcb55971bdd6cad66eab9fc9525cf1",
     },
 }
 
