@@ -42,7 +42,6 @@ from .errors import (
     ValidationError,
 )
 from .maps import (
-    PHI,
     PLUS,
     MINUS,
     EigenvalueTriple,
@@ -125,7 +124,6 @@ SCHEMA = {
         "beta": (0.3, _number()),
         "theta1": (0.15, _range01(hi=0.19)),
         "theta2": (0.0, _range01(hi=0.19)),
-        "lambda_min_required": (PHI, _number(lambda v: v >= 1.0, "must be >= 1")),
     },
     "skew": {
         "kappa": (0.2, _range01(lo_open=True, hi=0.25)),

@@ -52,7 +52,6 @@ class ModelParams:
     c_minus: float = 0.5
     theta1: float = 0.15
     theta2: float = 0.0
-    lambda_min_required: float = PHI
 
 
 @dataclass(frozen=True)
@@ -83,10 +82,6 @@ class BranchProfile:
     def min_slope(self) -> float:
         return (1.0 - self.theta) / self.length
 
-    @property
-    def max_slope(self) -> float:
-        return (1.0 + self.theta) / self.length
-
 
 @dataclass(frozen=True)
 class MapModel:
@@ -105,7 +100,6 @@ class MapModel:
     profile1: BranchProfile
     profile2: BranchProfile
     lambda_min: float
-    lambda_max: float
 
     @functools.cached_property
     def a_star(self) -> float | None:
@@ -255,7 +249,8 @@ def lift_np(model: MapModel, branch):
 
 
 def build_model(params: ModelParams) -> MapModel:
-    """Validate parameters, cache cusp data, and bound the expansion rate."""
+    """Validate parameters and cache cusp data; the minimal slope must
+    exceed PHI, the floor of the golden-ratio lemma, or ExpansionTooWeak."""
     c = params.c_minus
     if not (0.0 < c < 1.0):
         raise DegenerateArc(f"c_minus={c} must lie strictly inside (0, 1)")
@@ -263,16 +258,13 @@ def build_model(params: ModelParams) -> MapModel:
     prof1 = BranchProfile(L1, params.theta1)
     prof2 = BranchProfile(L2, params.theta2)
     lambda_min = min(prof1.min_slope, prof2.min_slope)
-    if lambda_min <= params.lambda_min_required:
-        raise ExpansionTooWeak(
-            f"minimal slope {lambda_min:.6g} <= required {params.lambda_min_required:.6g}")
+    if lambda_min <= PHI:
+        raise ExpansionTooWeak(f"minimal slope {lambda_min:.6g} <= required {PHI:.6g}")
     q1, q2 = norm1(params.alpha), norm1(params.beta)
     return MapModel(
         params=params, c_minus=c, q1=q1, q2=q2,
         profile1=prof1, profile2=prof2,
-        lambda_min=lambda_min,
-        lambda_max=max(prof1.max_slope, prof2.max_slope),
-    )
+        lambda_min=lambda_min)
 
 
 def eval_signed(model: MapModel, sp: SignedPoint) -> SignedPoint:
@@ -360,9 +352,9 @@ class HypothesesReport:
 
 def verify_hypotheses(model: MapModel) -> HypothesesReport:
     """Check the return-map hypotheses: single wrap per branch, strict
-    monotonicity, expansion above the required rate, and the pinch identities
-    at the two discontinuities.  Monotonicity is exact: (1 - theta)/L, the
-    minimum of dg on [0, L] (reached at t = L/2), must be positive."""
+    monotonicity, expansion above PHI (reported as lambda_required) and the
+    pinch identities at c+ and c-.  Monotonicity is exact: (1 - theta)/L,
+    the minimum of dg on [0, L] (reached at t = L/2), must be positive."""
     failures = []
 
     wrap_ok = True
@@ -375,10 +367,9 @@ def verify_hypotheses(model: MapModel) -> HypothesesReport:
     if not monotone_ok:
         failures.append("branch slope is not strictly positive")
 
-    expansion_ok = model.lambda_min > model.params.lambda_min_required
+    expansion_ok = model.lambda_min > PHI
     if not expansion_ok:
-        failures.append(
-            f"lambda_min={model.lambda_min:.6g} <= {model.params.lambda_min_required:.6g}")
+        failures.append(f"lambda_min={model.lambda_min:.6g} <= {PHI:.6g}")
 
     # one-sided limits at the endpoints of each branch arc pinch to the cusps
     pinch_pairs = [
@@ -394,7 +385,7 @@ def verify_hypotheses(model: MapModel) -> HypothesesReport:
     return HypothesesReport(
         wrap_ok=wrap_ok, monotone_ok=monotone_ok, expansion_ok=expansion_ok,
         pinch_ok=pinch_ok, lambda_min=model.lambda_min,
-        lambda_required=model.params.lambda_min_required, failures=failures)
+        lambda_required=PHI, failures=failures)
 
 
 # --- singularity eigenvalue checks ---------------------------------------

@@ -13,9 +13,9 @@ from lorenzlab.annulus import (
     verify_cones,
 )
 from lorenzlab.atlas import attractor_span
-from lorenzlab.circle import Arc, circle_dist
+from lorenzlab.circle import Arc, circle_dist, norm1
 from lorenzlab.errors import ConeBoundViolated, OnDiscontinuity, PreconditionError, TrackingLost
-from lorenzlab.maps import SNAP, ModelParams, SignedPoint, build_model
+from lorenzlab.maps import SNAP, BranchProfile, MapModel, ModelParams, SignedPoint, build_model
 from lorenzlab.symbolic import itinerary
 
 
@@ -178,15 +178,25 @@ def verify_cones_reference(skew, grid_x, grid_y):
             min_expansion >= base.lambda_min - 1e-9, worst_product < 1.0, bound < 1.0)
 
 
+def unchecked_model(alpha, beta, c_minus, theta1, theta2):
+    # build_model without its PHI floor
+    params = ModelParams(alpha=alpha, beta=beta, c_minus=c_minus, theta1=theta1,
+                         theta2=theta2)
+    prof1, prof2 = BranchProfile(c_minus, theta1), BranchProfile(1.0 - c_minus, theta2)
+    return MapModel(params=params, c_minus=c_minus, q1=norm1(alpha), q2=norm1(beta),
+                    profile1=prof1, profile2=prof2,
+                    lambda_min=min(prof1.min_slope, prof2.min_slope))
+
+
 def test_verify_cones_matches_2d_reference():
     # SkewModel, not build_skew, so that flagged analytic bounds occur; the
-    # expansion floor is lowered so that every drawn (c-, theta) is a model
+    # bases skip build_model's PHI floor so that every drawn (c-, theta) is a
+    # model, about a third of them with lambda_min <= PHI
     rng = np.random.default_rng(15)
     flagged = 0
     for _ in range(1000):
         c, t1, t2 = rng.uniform(0.42, 0.58), *rng.uniform(0.0, 0.19, 2)
-        base = M(*rng.uniform(0.0, 1.0, 2), c_minus=c, theta1=t1, theta2=t2,
-                 lambda_min_required=1.3)
+        base = unchecked_model(*rng.uniform(0.0, 1.0, 2), c_minus=c, theta1=t1, theta2=t2)
         skew = SkewModel(base=base, kappa=rng.uniform(0.01, 0.25))
         gx, gy = int(rng.integers(1, 600)), int(rng.integers(1, 60))
         rep = verify_cones(skew, gx)

@@ -34,7 +34,8 @@ def test_defaults_filled():
     assert cfg["model"]["theta1"] == 0.15
     assert cfg["model"]["theta2"] == 0.0
     assert cfg["skew"]["kappa"] == 0.2
-    assert cfg["model"]["lambda_min_required"] == pytest.approx(1.6180339887, abs=1e-9)
+    # no expansion floor among the keys: it is PHI
+    assert set(cfg["model"]) == {"c_minus", "alpha", "beta", "theta1", "theta2"}
     assert cfg["engine"]["depth"] == 30
 
 
@@ -416,6 +417,10 @@ BAD_INPUTS = [
     # a finite span whose grid steps overflow
     ("sweep", '{"sweep": {"beta_range": [0, 1.7e308], "grid_ny": 3}}', 2),
     ("degree", '{"degree": {"step": 1e-300}}', 2),             # unknown key: the step is fixed
+    # unknown key: the expansion floor is PHI, so this model is not certified
+    ("path", '{"model": {"lambda_min_required": 1.0, "c_minus": 0.3, "alpha": 0.6, '
+             '"beta": 0.2}}', 2),
+    ("path", '{"model": {"c_minus": 0.3, "alpha": 0.6, "beta": 0.2}}', 3),  # ExpansionTooWeak
     ("classify", None, 2),                                     # missing file
     ("classify", b"\xff\xfe{}", 2),                           # not UTF-8
     ("classify --out cfg.json/sub", "{}", 2),                  # --out under a file
@@ -493,14 +498,14 @@ def test_main_unwritable_report_exits_2(tmp_path, capsys):
 
 
 def test_main_expansion_failure_message_is_short(tmp_path, capsys):
-    # a huge but valid lambda_min_required fails the expansion check; the
-    # message gives it to 6 significant digits, not its 309 digits
+    # c- = 0.3 gives branch 2 the slope 1/0.7 < PHI; the message gives both
+    # numbers to 6 significant digits
     cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"model": {"lambda_min_required": 1e308}}')
+    cfg.write_text('{"model": {"c_minus": 0.3}}')
     assert cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and len(err) < 120
-    assert "1e+308" in err
+    assert "1.61803" in err
 
 
 def test_main_kneading_cusp_just_off_c_plus(tmp_path):

@@ -46,94 +46,94 @@ GOLDEN = {
         "sweep.ppm": "de5540cfc1d1cc04be9609042da31255029a2232f05c0fead2378e16d82da9cf",
     },
     "default/admissible": {
-        "admissible.json": "7682474710ebf79285f90e04bab8ab71ec1122ae74b3c3d7c55c82c02f8f8d28",
+        "admissible.json": "34bb1223966cc44f68b807ce47a00182346197619d3641fddc6b44a066b385e6",
     },
     "default/attractor2d": {
-        "attractor2d.json": "f3b7f5733265e1640c4c57aeeb90978add9f604a577b5528326a47f401baf88b",
+        "attractor2d.json": "f6ed9a38ead73f5d2727214e4d7dae0aeaa9de4985f12bd7f0a02ceb826300bb",
         "cloud.csv": "e4d14d29158573d6ef793b8498365b39bcd8dcf774ae0995e6c2c905909dffa9",
         "cloud.pgm": "45b3f68b332211d868589367711750bad47d60408a7891270d4c412ac9e00267",
     },
     "default/classify": {
-        "classify.json": "be8005e3420445a0b4874980018fe056873b604819927f9dc87813961cc25c00",
+        "classify.json": "0fc040786cb7841cc770a7d1d1c3d28b4265ab2848aa7e3647620838049e7472",
     },
     "default/conjugacy": {
-        "conjugacy.json": "878de34e6fe11516812d204dea2640f460c66bf275cd172bb6c87da04f3c82ad",
+        "conjugacy.json": "b5cfee99f2933c45ce7ec135447c023f3f200a7e4751b42acaf36921cbf80fbe",
         "conjugacy_pairs.csv": "152a927ca84b2ca2a9bffbeec46366d114c9599076a49a177e36b948f9fe4cf9",
     },
     "default/degree": {
-        "degree.json": "059903dac3c0878a164abb9123263f6b180c99944807d70b114318c84f39c2f7",
+        "degree.json": "ac8e192749e6c641beeb488884e940092e98f0c41b13b2ef8d22467fc6cdad81",
     },
     "default/histogram": {
         "histogram.csv": "bcbbfe93547b9d43df29f43de1794781f410368de5e18370f32226559d20e0fb",
     },
     "default/itinerary": {
-        "itinerary.json": "2fc29f8682354901f7248376ed6de32097d85902468d2326b71389be616b3806",
+        "itinerary.json": "1880a8742c831d7f692240cd24380a5fd11d0effb38de7b3f7ba22f6f83a85b4",
     },
     "default/kneading": {
-        "kneading.json": "416ecd4040afb27ca4f3ef6a94f2d8f447d970497883b1bb512447505007e34a",
+        "kneading.json": "bafa0e3dd3d78fce640341296793bead0d951d1dc45b82400f7b72265b419774",
     },
     "default/path": {
         "path.csv": "83feb9a3440af87c6018f9a25786b10d2dfa89d5ab79e9299b4531bbcf8c9f6a",
-        "path_report.json": "32ffbbd1440c4d61d6b54b45d506275cd078f5663ddb1a19f5a6fe166dabfba0",
+        "path_report.json": "5255d44b4b26ca9cc901cb20098433a5db0ad051f9b4cd9e5fdc54b2da9a603f",
     },
     "default/realize": {
-        "realize.json": "68966a7d9d554dff3aed6396245090babe40ebb69a45f13b91fda54a2602f452",
+        "realize.json": "0b97111f9b04663a87ffcda4efb56f4fcdd8f70dd77bda92e6fa7132b9ce1f4e",
     },
     "default/sweep": {
         "sweep.csv": "d98957a0ea71783e6a11eb55f09f6c400f76fb01222b8d8bfb26fe30bcce594a",
         "sweep.ppm": "7cda2960d273184767e4c6cd9be700f5974b73f0f133b3c1ea64cdfa5cb67bd9",
     },
     "default/verify": {
-        "verify.json": "3ff2843347db4d6e1100920e870e0ded78dceab9d924d9b22c086090241ae83c",
+        "verify.json": "d3e0da87a2154682cb98811f051d8e11d59b63e86f2c2f1f16deb94f73c4bfd4",
     },
     "collision/admissible": {
-        "admissible.json": "6266bbf9b41d3671e9d26a48cb73201f992cc9877b3d91139b7d4aa735ddc31e",
+        "admissible.json": "b7c35757789604b85943a0a867a3580fb99fea3d711226075f83421a45a28c7d",
     },
     "collision/attractor2d": {
-        "attractor2d.json": "eedb1e52102dde5c8248d69c619787d8b7b2a03acfedd9c2ccf6780ea97a046f",
+        "attractor2d.json": "2c41fdd5a1b6d8a1a3b49b48e134ef9fe83f186778958ae13d8512c89e9dd70a",
         "cloud.csv": "8aa9c8b981b275b469a0df4439d3182c12f703252ca63d39189559b3560cde15",
         "cloud.pgm": "2bff6dcb374b2210ce094cb9e6dae91cfee62e2b2eb87aa5ab4ed3f83fa4d7b8",
     },
     "collision/classify": {
-        "classify.json": "6a24022e4a5404b0ec50701459a6cdf515a14f47eb93ad76361b451776cd7a59",
+        "classify.json": "5f7c27853066d3ed2ab2b3cbfded37d12a59015c916d1c2095e6c8c2caf29683",
     },
     "collision/conjugacy": {
-        "conjugacy.json": "7a4a9796bb21223f5890b23230fcfe94831ca8b82543026cb34974ad3b1e2ac2",
+        "conjugacy.json": "bf0479d2058d0a732ce82bd8ab4c50e7914c7c44f9623890ac45fb8ae70439c5",
         "conjugacy_pairs.csv": "d0c095e93ad1d5b2e6343370197efaccbd5c765552f65afe1c100629066e6e84",
     },
     "collision/degree": {
-        "degree.json": "9951667310dbbf94d9cff52ca63d18fcc7d03f9c5acf0eb18359e322e545580d",
+        "degree.json": "338ca6108c4e91b8864205e3ed1e882ea73ff20da2629c6ac7afc1a8856d2a44",
     },
     "collision/histogram": {
         "histogram.csv": "20869ff0d85a2193477abb38b47c494552202bd56bb9d205b842c9306bc52cc4",
     },
     "collision/itinerary": {
-        "itinerary.json": "d9fb0ba148195ed3d56df2058359438345bde0263e42ceb597b4b037e9091fba",
+        "itinerary.json": "c109ca8a9b42609bc30425ab68722258967a5e4adc6e9ebd83eeb135e6bf242d",
     },
     "collision/kneading": {
-        "kneading.json": "ab7012d4d6381d2caa47159db217b99dc628bbf7c4a5310afb854a5b2cec5c3e",
+        "kneading.json": "84c1b6bdb90adb5010fe3e6d09d6a7ca4f954b043792346e31d8654ba6e80c7d",
     },
     "collision/path": {
         "path.csv": "3a888ce3d955bca12ee53e3918e3544cd36033a9686b60602a5fe22632c9ede4",
-        "path_report.json": "47e6c20dfa75ba4c1994abbf5b44a38c4e43cd876cbe6aab8e596c4c9a848b29",
+        "path_report.json": "c0da673a68944c0b1a6a43c621a8393cb21de104e3a31bbe57f6f5f25ef99f60",
     },
     "collision/realize": {
-        "realize.json": "dfdb682885b7bcbe5322726b6ec8ef7316e2205687c798964dc8c301c71d252a",
+        "realize.json": "e50de74cdda5d8a16ad3183005df553d4855b489c5c5bad8721bec7a46c48673",
     },
     "collision/sweep": {
         "sweep.csv": "4cca84c51929b496d04bd65200bf5fa406f1507e5a29effc14e3c38665526316",
         "sweep.ppm": "aa45b88d4fb2f36600769f4cc3aea7cab1a9adbcdf39100a614b32aa0d05d906",
     },
     "collision/verify": {
-        "verify.json": "81adbcf3ae3c530cfee9f3418b0958d6d9f88589fb4591f9c46e0f0c760b6bc6",
+        "verify.json": "b16b430d515d70ede08c9cea751d8d2455f9ceef51dcb9f81743c62d4e24809e",
     },
     "collision401/path": {
         "path.csv": "e10bbcb5d96ef850bf99f197c8d1e7ac92aefd1a996e98c6203b49726cf53bdf",
-        "path_report.json": "adba834c6eeaafb922b3ea8f4b263c9dc8a53b1e3012f4ec0cd337b9f6a8f21d",
+        "path_report.json": "492d3c5ba38ffe148544cc908912166737436fd4f94353c4b2d08a038ba0ec5a",
     },
     "switch/path": {
         "path.csv": "48fcfa1102a39a19db456560836f7a2630c40bd5ee1319f518dd37bd66e81e0b",
-        "path_report.json": "661f2abdf47cb2f36407a63746fdd765a7fcb55971bdd6cad66eab9fc9525cf1",
+        "path_report.json": "4b9a66a138cc8ec0b75fccfe6424c83f0a2d9ce7810eae049799690f907c9488",
     },
 }
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from lorenzlab.atlas import golden_bound
 from lorenzlab.circle import circle_dist, norm1
 from lorenzlab.errors import DegenerateArc, ExpansionTooWeak, OnStratum
 from lorenzlab.maps import (
@@ -56,6 +57,22 @@ def test_build_affine_doubling():
 def test_build_rejects_weak_expansion():
     with pytest.raises(ExpansionTooWeak):
         M(0.6, 0.3, theta1=0.25)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(c_minus=st.floats(0.05, 0.95), theta1=st.floats(0.0, 0.19),
+       theta2=st.floats(0.0, 0.19), a=st.floats(0.0, 1.0), b=st.floats(0.0, 1.0))
+def test_build_model_keeps_the_golden_ratio_lemma(c_minus, theta1, theta2, a, b):
+    # the lemma max(lam |ab|, lam^2 |bc|) >= (lam / phi)(|ab| + |bc|) holds
+    # exactly when lam >= phi, so every model build_model returns satisfies it
+    slope = min((1 - theta1) / c_minus, (1 - theta2) / (1 - c_minus))
+    try:
+        m = M(0.6, 0.3, c_minus=c_minus, theta1=theta1, theta2=theta2)
+    except ExpansionTooWeak:
+        assert slope <= PHI
+        return
+    assert m.lambda_min == slope and m.lambda_min > PHI
+    assert golden_bound(a, b, m.lambda_min).holds
 
 
 def test_build_rejects_degenerate_arc():
@@ -175,7 +192,7 @@ def test_bisect_increasing_np_exact_hits_and_clamps():
 
 
 def test_pinch_property():
-    lam_max = M0.lambda_max
+    lam_max = max((1 + p.theta) / p.length for p in (M0.profile1, M0.profile2))
     for eps in (1e-3, 1e-6):
         gap = circle_dist(M0.f(eps), M0.f(0.5 - eps))
         assert gap <= 3 * lam_max * eps
@@ -240,10 +257,9 @@ def test_verify_hypotheses_broken_wrap():
 
 
 def test_verify_hypotheses_weak_expansion_message():
-    params = dataclasses.replace(M0.params, lambda_min_required=1e308)
-    rep = verify_hypotheses(dataclasses.replace(M0, params=params))
+    rep = verify_hypotheses(dataclasses.replace(M0, lambda_min=1.5))
     assert not rep.expansion_ok
-    assert rep.failures == ["lambda_min=1.7 <= 1e+308"]
+    assert rep.failures == ["lambda_min=1.5 <= 1.61803"]
 
 
 def test_lorenz_like_verdicts():
