@@ -20,7 +20,8 @@ cancel) staying below one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from random import Random
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,8 +32,7 @@ from .maps import SNAP, MapModel, branch_lanes
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class SkewModel:
+class SkewModel(NamedTuple):
     base: MapModel
     kappa: float = 0.2
     eta1: float = 0.0
@@ -91,8 +91,7 @@ def apply_skew_np(skew: SkewModel, x, y):
     return (q + profile.g_np(t)) % 1.0, eta + skew.kappa * rho * y
 
 
-@dataclass
-class ConeReport:
+class ConeReport(NamedTuple):
     worst_cone_factor: float
     min_expansion: float
     worst_product: float
@@ -160,8 +159,7 @@ def verify_cones(skew: SkewModel, grid_x: int = 1000) -> ConeReport:
     )
 
 
-@dataclass
-class CloudResult:
+class CloudResult(NamedTuple):
     points: np.ndarray          # (n, 2) array of (x, y) samples
     raster: np.ndarray          # (height, width) uint8 hit image
 
@@ -177,12 +175,14 @@ def attractor_cloud(skew: SkewModel, depth: int, samples: int,
     """
     if depth > 16:
         raise PreconditionError("depth must stay at or below 16 (2^n pieces)")
-    rng = np.random.default_rng(seed)
-    if seed_arc is None:
-        x = rng.uniform(0.0, 1.0, samples)
-    else:
-        x = np.mod(seed_arc.start + rng.uniform(0.0, seed_arc.length, samples), 1.0)
-    y = rng.uniform(-0.95, 0.95, samples)
+    # 2 x samples uniforms, the x draws then the y draws, from the stdlib
+    # generator, whose random() sequence for an int seed Python keeps across
+    # versions.  fromiter allocates them all before it reads the endless
+    # iterator, so a size that cannot be allocated fails before any draw
+    u = np.fromiter(iter(Random(seed).random, None), float, count=2 * samples)
+    x, y = u[:samples], -0.95 + 1.9 * u[samples:]
+    if seed_arc is not None:
+        x = np.mod(seed_arc.start + seed_arc.length * x, 1.0)
     # the burn-in steps all write row 0, which the first kept step overwrites;
     # the points are a transposed view of this buffer, not a copy
     orbit = np.empty((2, max(depth, 1), samples))
@@ -227,8 +227,7 @@ def leaf_span_2d(points: np.ndarray) -> Arc:
 
 # --- essential-family degree ----------------------------------------------
 
-@dataclass
-class DegreeMatrix:
+class DegreeMatrix(NamedTuple):
     entries: tuple[tuple[int, int], tuple[int, int]]
 
     @property

@@ -12,7 +12,7 @@ attractor leaf spans.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,8 +77,7 @@ STRATUM_DYNAMICS = {
 }
 
 
-@dataclass
-class RegionVerdict:
+class RegionVerdict(NamedTuple):
     stratum: str
     margin: float
     dynamics: str
@@ -113,8 +112,8 @@ def classify_grid(params: ModelParams, alphas, betas):
     """
     c = params.c_minus
     alphas, betas = np.asarray(alphas, dtype=float), np.asarray(betas, dtype=float)
-    cols = [build_model(replace(params, alpha=a)) for a in alphas.ravel().tolist()]
-    rows = [build_model(replace(params, beta=b)) for b in betas.ravel().tolist()]
+    cols = [build_model(params._replace(alpha=a)) for a in alphas.ravel().tolist()]
+    rows = [build_model(params._replace(beta=b)) for b in betas.ravel().tolist()]
     # a missing fixed point (None) becomes NaN; only the ++ cases read p1, p2
     q1 = np.array([m.q1 for m in cols]).reshape(alphas.shape)
     p1 = np.array([branch_fixed_point(m, 1) for m in cols], dtype=float).reshape(alphas.shape)
@@ -163,12 +162,13 @@ def region_verdicts(grid) -> list[RegionVerdict]:
     verdicts = []
     for k, margin, p1, p2 in zip(*(a.ravel().tolist() for a in grid)):
         label = STRATA[k]
-        v = RegionVerdict(label, margin, STRATUM_DYNAMICS[label])
+        fixed = sigma = ()
         if label not in HOMOCLINIC:
-            v.p1, v.p2 = (None if math.isnan(p) else p for p in (p1, p2))
+            fixed = tuple(None if math.isnan(p) else p for p in (p1, p2))
             if label not in (O_MM, O_PM, O_MP):
-                v.sigma_plus, v.sigma_minus = Arc(p2, p1), Arc(p1, p2)
-        verdicts.append(v)
+                sigma = (Arc(p2, p1), Arc(p1, p2))
+        verdicts.append(RegionVerdict(label, margin, STRATUM_DYNAMICS[label],
+                                      *fixed, *sigma))
     return verdicts
 
 
@@ -179,8 +179,7 @@ def classify(model: MapModel) -> RegionVerdict:
     return region_verdicts(classify_grid(p, p.alpha, p.beta))[0]
 
 
-@dataclass(frozen=True)
-class GoldenBound:
+class GoldenBound(NamedTuple):
     lhs: float
     rhs: float
     holds: bool
@@ -200,15 +199,14 @@ def golden_bound(l_ab: float, l_bc: float, lam: float) -> GoldenBound:
 ARC_BUDGET = 1_000_000
 
 
-@dataclass
-class CoverageCertificate:
+class CoverageCertificate(NamedTuple):
     seed: Arc
     iterations_used: int
     covered_fraction: float
     missed_points: list[float]
     terminal_arcs: list[Arc]
-    gap_arcs: list[Arc] = field(default_factory=list)
-    history: list[float] = field(default_factory=list)
+    gap_arcs: list[Arc]
+    history: list[float]
 
 
 def _branch_images(model: MapModel, lo: float, hi: float):
@@ -286,8 +284,7 @@ def iterate_segments(model: MapModel, seed: Arc, maxN: int, eps: float) -> Cover
 
 # --- trapping and horseshoe certificates ----------------------------------
 
-@dataclass
-class TrappingCertificate:
+class TrappingCertificate(NamedTuple):
     l1: float
     l2: float
     R_L: Arc
@@ -340,8 +337,7 @@ def trapping_interval(model: MapModel,
     return TrappingCertificate(l1=l1, l2=l2, R_L=region, invariance_margin=margin)
 
 
-@dataclass
-class HorseshoeCertificate:
+class HorseshoeCertificate(NamedTuple):
     R_H: Arc
     I_A: Arc
     I_B: Arc
@@ -383,8 +379,7 @@ def horseshoe_certificate(model: MapModel, R_H: Arc) -> HorseshoeCertificate:
 
 # --- attractor span --------------------------------------------------------
 
-@dataclass
-class SpanResult:
+class SpanResult(NamedTuple):
     span: Arc
     certificate: CoverageCertificate
     trapping: TrappingCertificate | None

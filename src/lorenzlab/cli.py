@@ -17,9 +17,9 @@ import copy
 import json
 import math
 import sys
-from dataclasses import replace
 from itertools import cycle, islice
 from pathlib import Path
+from random import Random
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from .errors import (
     ParseError,
     PreconditionError,
     ValidationError,
+    WorkBudgetExceeded,
 )
 from .maps import (
     PLUS,
@@ -214,6 +215,39 @@ def load_config(text: str) -> dict:
     return sections
 
 
+# the most loop steps a config may plan for one command, where a step maps
+# one point once (a scalar or one numpy lane), reads one itinerary letter or
+# tests one resonance triple.  The largest shipped config, the benchmark's
+# cloud of 4,000 x (60 + 12) = 288,000 steps, is 34 times below it
+MAX_STEPS = 10_000_000
+
+# per command whose loops no allocation bounds: the config section, the keys
+# that size the loops and the steps they plan.  kneading_data reads 8
+# itineraries; the conjugacy's shooting search and two kneading checks read
+# at most 80 itineraries and its batch 2 x grid more, each match_depth long
+PLANNED_STEPS = {
+    "attractor2d": ("cloud", "cloud.samples x (cloud.burn_in + cloud.depth)",
+                    lambda c: c["samples"] * (c["burn_in"] + c["depth"])),
+    "itinerary": ("engine", "engine.depth", lambda e: e["depth"]),
+    "kneading": ("engine", "8 x engine.depth", lambda e: 8 * e["depth"]),
+    "admissible": ("engine", "8 x engine.depth", lambda e: 8 * e["depth"]),
+    "conjugacy": ("conjugacy", "conjugacy.match_depth x (80 + 2 x conjugacy.grid)",
+                  lambda c: c["match_depth"] * (80 + 2 * c["grid"])),
+    "verify": ("eigenvalues", "eigenvalues.N^3", lambda e: e["N"] ** 3),
+}
+
+
+def _check_planned_steps(command: str, config: dict) -> None:
+    """Raise WorkBudgetExceeded when the command's loops plan more than
+    MAX_STEPS steps for this config; nothing is computed first."""
+    if command in PLANNED_STEPS:
+        section, keys, steps_of = PLANNED_STEPS[command]
+        steps = steps_of(config[section])
+        if steps > MAX_STEPS:
+            raise WorkBudgetExceeded(
+                f"{keys} = {steps:.4g} loop steps, above the cap of {MAX_STEPS:,}")
+
+
 def _model(config: dict) -> MapModel:
     return build_model(ModelParams(**config["model"]))
 
@@ -360,7 +394,7 @@ def run_path(config: dict):
     prev_len = None
     for k, (alpha, beta, verdict) in enumerate(zip(alphas.tolist(), betas.tolist(),
                                                    verdicts)):
-        model = build_model(replace(params, alpha=alpha, beta=beta))
+        model = build_model(params._replace(alpha=alpha, beta=beta))
         res = attractor_span(model, maxN=eng["max_iterations"], eps=eng["eps"],
                              verdict=verdict)
         trap = "" if res.trapping is None else res.trapping.invariance_margin
@@ -388,7 +422,7 @@ def run_histogram(config: dict):
     # the burn-in is stepped into the same array, so a size that cannot be
     # allocated fails before the first step
     orbit = np.empty(h["burn_in"] + h["orbit_length"])
-    x = float(np.random.default_rng(h["seed"]).uniform(0.0, 1.0))
+    x = Random(h["seed"]).random()
     for i in range(orbit.size):
         x = f(x if on_discontinuity(x) is None else norm1(x + 1e-9))
         orbit[i] = x
@@ -404,7 +438,7 @@ def _degree_family(config: dict):
     kind = config["degree"]["family"]
 
     def build(alpha, beta):
-        return build_model(replace(params, alpha=alpha, beta=beta))
+        return build_model(params._replace(alpha=alpha, beta=beta))
 
     if kind == "rotation":
         return lambda m1, m2: build(params.alpha + m1, params.beta + m2)
@@ -434,7 +468,7 @@ def cmd_verify(config: dict) -> dict:
         EigenvalueTriple(e["lambda_ss"], e["lambda_s"], e["lambda_u"]),
         N=e["N"], tol=e["tol"])
     return {"verify.json": {
-        "hypotheses": {**vars(rep), "all_ok": rep.all_ok},
+        "hypotheses": {**rep._asdict(), "all_ok": rep.all_ok},
         "cones": {"analytic_bound": cones.analytic_cone_bound,
                   "worst_cone_factor": cones.worst_cone_factor,
                   "min_expansion": cones.min_expansion,
@@ -447,7 +481,7 @@ def cmd_verify(config: dict) -> dict:
 
 def cmd_classify(config: dict) -> dict:
     model = _model(config)
-    return {"classify.json": {**vars(classify(model)), "lambda_min": model.lambda_min}}
+    return {"classify.json": {**classify(model)._asdict(), "lambda_min": model.lambda_min}}
 
 
 def cmd_kneading(config: dict) -> dict:
@@ -481,7 +515,7 @@ def cmd_admissible(config: dict) -> dict:
 def cmd_realize(config: dict) -> dict:
     model = _model(config)
     word = _word_from_config(config)
-    return {"realize.json": {"word": str(word), **vars(realize(model, word))}}
+    return {"realize.json": {"word": str(word), **realize(model, word)._asdict()}}
 
 
 def cmd_conjugacy(config: dict) -> dict:
@@ -576,6 +610,7 @@ def main(argv=None) -> int:
 
     try:
         config = load_config(_read_config(args.config))
+        _check_planned_steps(args.command, config)
         args.out.mkdir(parents=True, exist_ok=True)
         for name, payload in COMMANDS[args.command](config).items():
             if isinstance(payload, dict):
@@ -593,8 +628,8 @@ def main(argv=None) -> int:
         print(f"precondition error: {exc}", file=sys.stderr)
         return 3
     except (BudgetError, MemoryError) as exc:
-        # numpy raises MemoryError for a size it cannot allocate at once;
-        # itertools.product raises one without a message
+        # numpy raises MemoryError, with a message, for a size it cannot
+        # allocate at once; one raised by Python itself may carry none
         reason = str(exc) or "cannot allocate the arrays this config asks for"
         print(f"budget exceeded: {reason}", file=sys.stderr)
         return 4

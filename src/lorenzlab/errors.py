@@ -100,6 +100,10 @@ class ArcBudgetExceeded(BudgetError):
     pass
 
 
+class WorkBudgetExceeded(BudgetError):
+    """A config plans more loop steps than a command may take."""
+
+
 # --- annulus -------------------------------------------------------------
 
 class ConeBoundViolated(PreconditionError):

@@ -23,7 +23,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,8 +46,7 @@ PLUS = 1
 MINUS = -1
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class ModelParams(NamedTuple):
     alpha: float
     beta: float
     c_minus: float = 0.5
@@ -54,8 +54,7 @@ class ModelParams:
     theta2: float = 0.0
 
 
-@dataclass(frozen=True)
-class SignedPoint:
+class SignedPoint(NamedTuple):
     """A circle point with a one-sided marker (+1 right limit, -1 left)."""
 
     x: float
@@ -303,8 +302,7 @@ def inverse_branch(model: MapModel, branch: int, y: float) -> float | None:
     return _bisect_lift(model, 2, target, model.c_minus, 1.0)
 
 
-@dataclass(frozen=True)
-class FixedPoints:
+class FixedPoints(NamedTuple):
     p1: float | None
     p2: float | None
 
@@ -335,15 +333,14 @@ def fixed_points(model: MapModel) -> FixedPoints:
     return FixedPoints(branch_fixed_point(model, 1), branch_fixed_point(model, 2))
 
 
-@dataclass
-class HypothesesReport:
+class HypothesesReport(NamedTuple):
     wrap_ok: bool
     monotone_ok: bool
     expansion_ok: bool
     pinch_ok: bool
     lambda_min: float
     lambda_required: float
-    failures: list = field(default_factory=list)
+    failures: list
 
     @property
     def all_ok(self) -> bool:
@@ -390,15 +387,13 @@ def verify_hypotheses(model: MapModel) -> HypothesesReport:
 
 # --- singularity eigenvalue checks ---------------------------------------
 
-@dataclass(frozen=True)
-class EigenvalueTriple:
+class EigenvalueTriple(NamedTuple):
     lambda_ss: float
     lambda_s: float
     lambda_u: float
 
 
-@dataclass
-class SingularityReport:
+class SingularityReport(NamedTuple):
     lorenz_like: bool
     resonances: list
 

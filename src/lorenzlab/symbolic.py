@@ -19,7 +19,7 @@ with epsilon offsets, so boundary itineraries are exact.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -223,8 +223,7 @@ def itinerary_many(model: MapModel, xs, side: int, depth: int) -> list[Word]:
     return [Word(tuple(letters[i] for i in row)) for row in out.T.tolist()]
 
 
-@dataclass(frozen=True)
-class KneadingData:
+class KneadingData(NamedTuple):
     """The four boundary itineraries of the two discontinuities.
 
     w_pp = up itinerary of c+, w_pm = down itinerary of c+,
@@ -276,8 +275,7 @@ def kneading_data(model: MapModel, depth: int) -> KneadingData:
 
 # --- admissibility --------------------------------------------------------
 
-@dataclass(frozen=True)
-class AdmissibilityVerdict:
+class AdmissibilityVerdict(NamedTuple):
     admissible_to_depth: int
     rejection: tuple[int, str] | None = None
 
@@ -308,8 +306,7 @@ def is_admissible(w: Word, kd: KneadingData) -> AdmissibilityVerdict:
 
 # --- realization ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class Realization:
+class Realization(NamedTuple):
     interval: Arc
     midpoint: float
 
@@ -392,8 +389,7 @@ def realize_many(model: MapModel, words) -> list[Realization]:
 
 # --- conjugacy ------------------------------------------------------------
 
-@dataclass
-class ConjugacyResult:
+class ConjugacyResult(NamedTuple):
     pairs: list[tuple[float, float]]
     defect: float
     interp_defect: float
@@ -492,8 +488,8 @@ def shoot_matched_model(mx: MapModel, theta1_new: float, match_depth: int,
         return mx.c_minus + bisect_increasing(prof2.g, want, 0.0, prof2.length)
 
     def make(alpha: float) -> MapModel:
-        return build_model(replace(
-            mx.params, alpha=alpha, beta=beta_for(alpha), theta1=theta1_new))
+        return build_model(mx.params._replace(
+            alpha=alpha, beta=beta_for(alpha), theta1=theta1_new))
 
     def cmp_at(alpha: float) -> int:
         m = make(alpha)

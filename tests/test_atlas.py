@@ -1,6 +1,5 @@
 import functools
 import math
-from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -188,7 +187,7 @@ def _grid_matches_classify(params, alphas, betas):
     cells = iter(region_verdicts(grid))
     for b in betas:
         for a in alphas:
-            want = classify_reference(build_model(replace(params, alpha=a, beta=b)))
+            want = classify_reference(build_model(params._replace(alpha=a, beta=b)))
             assert _same_verdict(next(cells), want), (a, b)
     return {atlas.STRATA[k] for k in strata.ravel()}
 
@@ -229,7 +228,7 @@ def test_classify_stable_within_margin(model, u, v):
     lam = model.lambda_min
     room = 0.999 * (verdict.margin - SNAP) * (lam - 1.0) / lam
     p = model.params
-    moved = replace(p, alpha=p.alpha + u * room, beta=p.beta + v * room)
+    moved = p._replace(alpha=p.alpha + u * room, beta=p.beta + v * room)
     assert classify(build_model(moved)).stratum == verdict.stratum
     # every cell of the 3x3 grid spanning +-room around the point
     strata, *_ = classify_grid(p, [p.alpha + k * room for k in (-1, 0, 1)],
@@ -261,7 +260,7 @@ def test_classify_grid_on_path_matches_reference(path, theta1):
     got = region_verdicts(classify_grid(params, alphas, betas))
     assert len(got) == steps
     for v, a, b in zip(got, alphas, betas):
-        want = classify_reference(build_model(replace(params, alpha=a, beta=b)))
+        want = classify_reference(build_model(params._replace(alpha=a, beta=b)))
         assert _same_verdict(v, want), (a, b)
     if path == "switch":
         assert [v.stratum for v in got] == (
@@ -798,8 +797,8 @@ def _edge_pushed_models(count, seed):
         a, b = rng.uniform(0.68, 0.82), rng.uniform(0.18, 0.32)
 
         def at(t):
-            return build_model(replace(p, alpha=p.alpha + t * (a - p.alpha),
-                                       beta=p.beta + t * (b - p.beta)))
+            return build_model(p._replace(alpha=p.alpha + t * (a - p.alpha),
+                                          beta=p.beta + t * (b - p.beta)))
 
         if classify(at(1.0)).dynamics == dyn:
             continue
@@ -817,9 +816,9 @@ def _assert_same_certificate(got, want):
     family repeats while the reference runs all its steps: ``history`` is a
     prefix of the reference's, whose later entries repeat its last value, and
     ``iterations_used`` counts the steps taken."""
-    for f in fields(CoverageCertificate):
-        if f.name not in ("history", "iterations_used"):
-            assert getattr(got, f.name) == getattr(want, f.name), f.name
+    for name in CoverageCertificate._fields:
+        if name not in ("history", "iterations_used"):
+            assert getattr(got, name) == getattr(want, name), name
     taken = len(got.history)
     assert got.history == want.history[:taken]
     assert want.history[taken:] == [got.history[-1]] * (len(want.history) - taken)

@@ -339,7 +339,7 @@ def test_histogram_nudge_crosses_c_plus(monkeypatch):
     # an orbit point within SNAP left of c+ is nudged across c+ onto branch 1,
     # as one left of c- is nudged onto branch 2: its image is near q1, not q2
     class Start:
-        def uniform(self, lo, hi):
+        def random(self):
             return 1.0 - 5e-10
 
     orbits = []
@@ -349,7 +349,7 @@ def test_histogram_nudge_crosses_c_plus(monkeypatch):
         orbits.append(a.copy())
         return histogram(a, **kw)
 
-    monkeypatch.setattr(np.random, "default_rng", lambda seed: Start())
+    monkeypatch.setattr(cli, "Random", lambda seed: Start())
     monkeypatch.setattr(np, "histogram", recording_histogram)
     cfg = load(histogram={"orbit_length": 2, "burn_in": 0, "bins": 2})
     cli.run_histogram(cfg)
@@ -427,7 +427,16 @@ BAD_INPUTS = [
     # sizes whose first array cannot be allocated
     ("histogram", '{"histogram": {"orbit_length": 1000000000000000}}', 4),
     ("histogram", '{"histogram": {"burn_in": 1000000000000000}}', 4),
+    # loops that plan more than cli.MAX_STEPS steps, one case per key; each
+    # ran until killed before the cap (test_planned_steps_cap_runs_no_loop)
     ("attractor2d", '{"cloud": {"samples": 1000000000000000}}', 4),
+    ("attractor2d", '{"cloud": {"burn_in": 1000000000000000}}', 4),
+    ("kneading", '{"engine": {"depth": 1000000000000000}}', 4),
+    ("itinerary", '{"engine": {"depth": 1000000000000000}}', 4),
+    ("admissible", '{"engine": {"depth": 1000000000000000}}', 4),
+    ("conjugacy", '{"conjugacy": {"match_depth": 1000000000000000}}', 4),
+    ("verify", '{"eigenvalues": {"N": 1000000}}', 4),
+    ("verify", '{"eigenvalues": {"N": 9007199254740991}}', 4),
     # integers above 2**53 - 1, and a raster of more cells than that
     ("histogram", '{"histogram": {"orbit_length": 100000000000000000000}}', 2),
     ("attractor2d", '{"cloud": {"samples": 100000000000000000000}}', 2),
@@ -437,7 +446,6 @@ BAD_INPUTS = [
     ("verify", '{"eigenvalues": {"N": 100000000000000000000}}', 2),
     ("sweep", '{"sweep": {"grid_nx": 100000000000000000000}}', 2),
     # within the cap, but too large to allocate: one array up front, no loop
-    ("verify", '{"eigenvalues": {"N": 9007199254740991}}', 4),   # bare MemoryError
     ("sweep", '{"sweep": {"grid_nx": 1000000000000000}}', 4),
     ("path", '{"path": {"steps": 1000000000000000}}', 4),
     # a cusp word the shoot matches to depth 60 whose cylinder realize cannot
@@ -473,6 +481,45 @@ def test_main_conjugacy_past_resolution_names_match_depth(tmp_path, capsys):
     assert cli.main(["conjugacy", "--config", str(cfg), "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err
     assert "conjugacy.match_depth" in err and "shoot" in err
+
+
+@pytest.mark.parametrize("command,doc,key,loop", [
+    ("attractor2d", {"cloud": {"burn_in": 10**15}}, "cloud.burn_in", "attractor_cloud"),
+    ("kneading", {"engine": {"depth": 10**15}}, "engine.depth", "kneading_data"),
+    ("itinerary", {"engine": {"depth": 10**15}}, "engine.depth", "itinerary"),
+    ("admissible", {"engine": {"depth": 10**15}}, "engine.depth", "kneading_data"),
+    ("conjugacy", {"conjugacy": {"match_depth": 10**15}}, "conjugacy.match_depth",
+     "shoot_matched_model"),
+    ("verify", {"eigenvalues": {"N": 10**6}}, "eigenvalues.N",
+     "check_singularity_conditions"),
+])
+def test_planned_steps_cap_runs_no_loop(command, doc, key, loop, tmp_path, capsys,
+                                        monkeypatch):
+    # the cap reads the config alone: no model is built and no loop starts
+    def unreachable(*args, **kwargs):
+        raise AssertionError("computed past the cap")
+
+    for name in ("build_model", loop):
+        monkeypatch.setattr(cli, name, unreachable)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("budget exceeded: ") and key in err and err.count("\n") == 1
+
+
+def test_planned_steps_cap_clears_every_shipped_config():
+    # the golden configs (the defaults and the README examples among them)
+    # and the benchmark parts plan at most the benchmark cloud's
+    # 4,000 x (60 + 12) steps, which the cap clears 34 times over
+    from test_golden import CONFIGS
+    workloads = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.json"
+    docs = [*CONFIGS.values(),
+            *(part["config"] for part in json.loads(workloads.read_text())["parts"].values())]
+    planned = [steps(load(doc)[section])
+               for doc in docs for section, _, steps in cli.PLANNED_STEPS.values()]
+    assert max(planned) == 4_000 * (60 + 12)
+    assert cli.MAX_STEPS >= 34 * max(planned)
 
 
 @pytest.mark.parametrize("exc", [NotMarkov("strip not crossed"),

@@ -50,8 +50,8 @@ GOLDEN = {
     },
     "default/attractor2d": {
         "attractor2d.json": "f6ed9a38ead73f5d2727214e4d7dae0aeaa9de4985f12bd7f0a02ceb826300bb",
-        "cloud.csv": "e4d14d29158573d6ef793b8498365b39bcd8dcf774ae0995e6c2c905909dffa9",
-        "cloud.pgm": "45b3f68b332211d868589367711750bad47d60408a7891270d4c412ac9e00267",
+        "cloud.csv": "7465523a47792e68ce5d5074597200246e30c008b0266348e9c09dcc1143564a",
+        "cloud.pgm": "997e3c2a205ef3535c6109de10249b5ec1b088b068fc127aaa355464b772cd2a",
     },
     "default/classify": {
         "classify.json": "0fc040786cb7841cc770a7d1d1c3d28b4265ab2848aa7e3647620838049e7472",
@@ -64,7 +64,7 @@ GOLDEN = {
         "degree.json": "ac8e192749e6c641beeb488884e940092e98f0c41b13b2ef8d22467fc6cdad81",
     },
     "default/histogram": {
-        "histogram.csv": "bcbbfe93547b9d43df29f43de1794781f410368de5e18370f32226559d20e0fb",
+        "histogram.csv": "83ffa433cd94fc875cc7cf2a125e782c4f496d4f204988c8deca05b119f42b24",
     },
     "default/itinerary": {
         "itinerary.json": "1880a8742c831d7f692240cd24380a5fd11d0effb38de7b3f7ba22f6f83a85b4",
@@ -91,8 +91,8 @@ GOLDEN = {
     },
     "collision/attractor2d": {
         "attractor2d.json": "2c41fdd5a1b6d8a1a3b49b48e134ef9fe83f186778958ae13d8512c89e9dd70a",
-        "cloud.csv": "8aa9c8b981b275b469a0df4439d3182c12f703252ca63d39189559b3560cde15",
-        "cloud.pgm": "2bff6dcb374b2210ce094cb9e6dae91cfee62e2b2eb87aa5ab4ed3f83fa4d7b8",
+        "cloud.csv": "636ea360f7129d5dd4f7dc4d29c39e86d584db065a3f0dbe7353d91034a4fe97",
+        "cloud.pgm": "7a6b2fd9f3d499325622baca3bcfcae6631a3bba1f93185d0fec33bdd85735d3",
     },
     "collision/classify": {
         "classify.json": "5f7c27853066d3ed2ab2b3cbfded37d12a59015c916d1c2095e6c8c2caf29683",
@@ -105,7 +105,7 @@ GOLDEN = {
         "degree.json": "338ca6108c4e91b8864205e3ed1e882ea73ff20da2629c6ac7afc1a8856d2a44",
     },
     "collision/histogram": {
-        "histogram.csv": "20869ff0d85a2193477abb38b47c494552202bd56bb9d205b842c9306bc52cc4",
+        "histogram.csv": "79efab09c4ca7fb874d99ebffb6ef6917113b38dd44bfe23b20c3a4fae46a88c",
     },
     "collision/itinerary": {
         "itinerary.json": "c109ca8a9b42609bc30425ab68722258967a5e4adc6e9ebd83eeb135e6bf242d",

@@ -305,8 +305,7 @@ def step_models(draw):
     c = model.c_minus
     cusp = st.sampled_from([None, c - 0.5 * SNAP, c + 0.5 * SNAP])
     alpha, beta = draw(cusp), draw(cusp)
-    return build_model(dataclasses.replace(
-        model.params,
+    return build_model(model.params._replace(
         alpha=model.params.alpha if alpha is None else alpha,
         beta=model.params.beta if beta is None else beta))
 

@@ -1,6 +1,5 @@
 import bisect
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -569,7 +568,7 @@ def _shoot_with_scan(mx, theta1_new, match_depth, window=0.03, scan=3000):
 
     def make(alpha):
         beta = (mx.c_minus - prof2.g(alpha - mx.c_minus)) % 1.0
-        return build_model(replace(mx.params, alpha=alpha, beta=beta, theta1=theta1_new))
+        return build_model(mx.params._replace(alpha=alpha, beta=beta, theta1=theta1_new))
 
     def alpha_for(beta):
         want = (mx.c_minus - beta) % 1.0
@@ -633,8 +632,8 @@ def shoot_matched_model_reference(mx, theta1_new, match_depth, window=0.03):
         return mx.c_minus + bisect_increasing(prof2.g, want, 0.0, prof2.length)
 
     def make(alpha):
-        return build_model(replace(
-            mx.params, alpha=alpha, beta=beta_for(alpha), theta1=theta1_new))
+        return build_model(mx.params._replace(
+            alpha=alpha, beta=beta_for(alpha), theta1=theta1_new))
 
     def cmp_at(alpha):
         m = make(alpha)
