@@ -190,36 +190,59 @@ def attractor_cloud(skew: SkewModel, depth: int, samples: int,
     for i in range(burn_in + len(px)):
         x, y = apply_skew_np(skew, _cross_discontinuity(skew.base, x), y)
         px[max(i - burn_in, 0)], py[max(i - burn_in, 0)] = x, y
-    px, py = px.ravel(), py.ravel()
-
-    cols = np.clip((px * width).astype(int), 0, width - 1)
-    rows = np.clip(((1.0 - (py + 1.0) / 2.0) * height).astype(int), 0, height - 1)
-    hits = np.bincount(rows * width + cols, minlength=height * width)
+    # hits are counted one kept row of samples at a time into a 4-byte
+    # counter, which holds 2^31 - 1 hits; the CLI's cap on planned steps
+    # keeps a cloud below 10^7 points
+    hits = np.zeros(height * width, dtype=np.int32)
+    for row_x, row_y in zip(px, py):
+        cols = np.clip((row_x * width).astype(int), 0, width - 1)
+        rows = np.clip(((1.0 - (row_y + 1.0) / 2.0) * height).astype(int), 0, height - 1)
+        np.add.at(hits, rows * width + cols, 1)
     # a pixel with k hits shows 255.0 * k / peak, read from a table of those
     # values for k = 0..peak, so no float image is held
-    peak = max(hits.max(), 1)
+    peak = max(int(hits.max()), 1)
     shade = (255.0 * np.arange(peak + 1) / peak).astype(np.uint8)
     return CloudResult(points=orbit.reshape(2, -1).T,
                        raster=shade[hits].reshape(height, width))
 
 
+# buckets of width 1/LEAF_BUCKETS for leaf_span_2d's x extremes, and the
+# points whose x it buckets per pass
+LEAF_BUCKETS = 1024
+LEAF_BLOCK = 8192
+
+
 def leaf_span_2d(points: np.ndarray) -> Arc:
     """Arc of x-fibers met by an attractor approximation.
 
-    Takes the (n, 2) ``points`` of an ``attractor_cloud`` and returns the
-    complement of the largest circular gap between their x-coordinates; a
-    full circle is reported when no gap reaches the resolution 1e-3.
+    Takes the (n, 2) ``points`` of an ``attractor_cloud``, x in [0, 1), and
+    returns the complement of the largest circular gap between their
+    x-coordinates rounded to 12 digits; a full circle is reported when no
+    gap reaches the resolution 1e-3.
+
+    Only the least and greatest x of each bucket [k, k + 1) / 1024 are kept.
+    A bucket is narrower than 1e-3 and x * 1024 is exact, so every gap of
+    1e-3 or more lies between consecutive met buckets, between the same two
+    values that a sort of all x would put side by side.
     """
-    xs = np.unique(np.round(points[:, 0], 12))
-    if xs.size < 2:
+    lo = np.full(LEAF_BUCKETS + 1, np.inf)          # x rounded to 1.0 is bucket 1024
+    hi = np.full(LEAF_BUCKETS + 1, -np.inf)
+    for start in range(0, len(points), LEAF_BLOCK):
+        xs = np.round(points[start:start + LEAF_BLOCK, 0], 12)
+        bucket = (xs * LEAF_BUCKETS).astype(np.intp)
+        np.minimum.at(lo, bucket, xs)
+        np.maximum.at(hi, bucket, xs)
+    met = lo <= hi
+    lo, hi = lo[met], hi[met]
+    if lo.size == 0 or hi[-1] == lo[0]:             # fewer than two values
         return Arc.full_circle()
-    gaps = np.diff(xs)
-    wrap = (1.0 - xs[-1]) + xs[0]
-    i = int(np.argmax(gaps))
-    if wrap >= gaps[i]:
-        gap_lo, gap_hi, gap_len = xs[-1], xs[0], wrap
+    gaps = lo[1:] - hi[:-1]
+    wrap = (1.0 - hi[-1]) + lo[0]
+    if gaps.size == 0 or wrap >= gaps.max():
+        gap_lo, gap_hi, gap_len = hi[-1], lo[0], wrap
     else:
-        gap_lo, gap_hi, gap_len = xs[i], xs[i + 1], gaps[i]
+        i = int(np.argmax(gaps))
+        gap_lo, gap_hi, gap_len = hi[i], lo[i + 1], gaps[i]
     if gap_len < 1e-3:
         return Arc.full_circle()
     return Arc(norm1(gap_hi), norm1(gap_lo))

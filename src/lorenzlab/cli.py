@@ -216,24 +216,35 @@ def load_config(text: str) -> dict:
 
 
 # the most loop steps a config may plan for one command, where a step maps
-# one point once (a scalar or one numpy lane), reads one itinerary letter or
-# tests one resonance triple.  The largest shipped config, the benchmark's
-# cloud of 4,000 x (60 + 12) = 288,000 steps, is 34 times below it
+# one point once (a scalar or one numpy lane), classifies one grid cell,
+# reads one itinerary letter or tests one resonance triple.  The largest
+# shipped config, the benchmark's cloud of 4,000 x (60 + 12) = 288,000
+# steps, is 34 times below it
 MAX_STEPS = 10_000_000
 
-# per command whose loops no allocation bounds: the config section, the keys
-# that size the loops and the steps they plan.  kneading_data reads 8
-# itineraries; the conjugacy's shooting search and two kneading checks read
-# at most 80 itineraries and its batch 2 x grid more, each match_depth long
+# per command whose loops would otherwise run unbounded or allocate what they
+# plan: the keys that size the loops and the steps they plan.  kneading_data
+# reads 8 itineraries; the conjugacy's shooting search and two kneading
+# checks read at most 80 itineraries and its batch 2 x grid more, each
+# match_depth long; a path step runs the segment engine at most
+# max_iterations times
 PLANNED_STEPS = {
-    "attractor2d": ("cloud", "cloud.samples x (cloud.burn_in + cloud.depth)",
-                    lambda c: c["samples"] * (c["burn_in"] + c["depth"])),
-    "itinerary": ("engine", "engine.depth", lambda e: e["depth"]),
-    "kneading": ("engine", "8 x engine.depth", lambda e: 8 * e["depth"]),
-    "admissible": ("engine", "8 x engine.depth", lambda e: 8 * e["depth"]),
-    "conjugacy": ("conjugacy", "conjugacy.match_depth x (80 + 2 x conjugacy.grid)",
-                  lambda c: c["match_depth"] * (80 + 2 * c["grid"])),
-    "verify": ("eigenvalues", "eigenvalues.N^3", lambda e: e["N"] ** 3),
+    "attractor2d": ("cloud.samples x (cloud.burn_in + cloud.depth)",
+                    lambda c: c["cloud"]["samples"]
+                    * (c["cloud"]["burn_in"] + c["cloud"]["depth"])),
+    "itinerary": ("engine.depth", lambda c: c["engine"]["depth"]),
+    "kneading": ("8 x engine.depth", lambda c: 8 * c["engine"]["depth"]),
+    "admissible": ("8 x engine.depth", lambda c: 8 * c["engine"]["depth"]),
+    "conjugacy": ("conjugacy.match_depth x (80 + 2 x conjugacy.grid)",
+                  lambda c: c["conjugacy"]["match_depth"]
+                  * (80 + 2 * c["conjugacy"]["grid"])),
+    "verify": ("eigenvalues.N^3", lambda c: c["eigenvalues"]["N"] ** 3),
+    "histogram": ("histogram.burn_in + histogram.orbit_length",
+                  lambda c: c["histogram"]["burn_in"] + c["histogram"]["orbit_length"]),
+    "path": ("path.steps x engine.max_iterations",
+             lambda c: c["path"]["steps"] * c["engine"]["max_iterations"]),
+    "sweep": ("sweep.grid_nx x sweep.grid_ny",
+              lambda c: c["sweep"]["grid_nx"] * c["sweep"]["grid_ny"]),
 }
 
 
@@ -241,8 +252,8 @@ def _check_planned_steps(command: str, config: dict) -> None:
     """Raise WorkBudgetExceeded when the command's loops plan more than
     MAX_STEPS steps for this config; nothing is computed first."""
     if command in PLANNED_STEPS:
-        section, keys, steps_of = PLANNED_STEPS[command]
-        steps = steps_of(config[section])
+        keys, steps_of = PLANNED_STEPS[command]
+        steps = steps_of(config)
         if steps > MAX_STEPS:
             raise WorkBudgetExceeded(
                 f"{keys} = {steps:.4g} loop steps, above the cap of {MAX_STEPS:,}")
@@ -292,31 +303,33 @@ def render_pgm(img: np.ndarray) -> bytes:
 
 
 # rows per block of CSV text: a block's cells, filled template and encoded
-# text exist only while it is appended, so a table is held about once
+# text exist only until main has written it, so no table is ever held whole
 CSV_BLOCK_ROWS = 4096
 
 
-def _csv(header: list[str], lines, columns) -> bytearray:
-    """CSV document from a header, %-template lines and value columns.
+def _csv(header: list[str] | None, lines, columns) -> bytes:
+    """One encoded block of CSV rows, after the header line when one is given.
 
     Row k fills line ``lines[k % len(lines)]`` from ``columns[i][k]`` in
     column order: floats as %.12g, bools and counts as %d.  A column is a
-    list, tuple or numpy array with one value per row.  The rows are
-    formatted, encoded and appended to one buffer CSV_BLOCK_ROWS at a time,
-    so neither the cells nor the text of the whole table is ever built.
+    list, tuple or numpy array with one value per row.
     """
     rows, width = len(columns[0]), len(columns)
+    cells = [None] * (width * rows)
+    for i, column in enumerate(columns):
+        cells[i::width] = column.tolist() if isinstance(column, np.ndarray) else column
+    head = f"{','.join(header)}\n" if header else ""
+    return (head + "\n".join(islice(cycle(lines), rows)) % tuple(cells) + "\n").encode()
+
+
+def _csv_blocks(header: list[str], lines, columns):
+    """The CSV document of ``_csv``'s arguments as encoded blocks of
+    CSV_BLOCK_ROWS rows, the header in the first.  Row k still fills
+    ``lines[k % len(lines)]``, whatever the block length."""
     line = cycle(lines)
-    out = bytearray(f"{','.join(header)}\n".encode())
-    for lo in range(0, rows, CSV_BLOCK_ROWS):
-        hi = min(lo + CSV_BLOCK_ROWS, rows)
-        cells = [None] * (width * (hi - lo))
-        for i, column in enumerate(columns):
-            block = column[lo:hi]
-            cells[i::width] = block.tolist() if isinstance(block, np.ndarray) else block
-        template = "\n".join(islice(line, hi - lo)) + "\n"
-        out += (template % tuple(cells)).encode()
-    return out
+    for lo in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+        block = [column[lo:lo + CSV_BLOCK_ROWS] for column in columns]
+        yield _csv(header if lo == 0 else None, list(islice(line, len(block[0]))), block)
 
 
 def _arc_json(arc):
@@ -338,7 +351,7 @@ def _json_report(payload: dict, config: dict) -> bytes:
 
 
 def run_sweep(config: dict):
-    """Classify every grid cell; returns (strata, margins, csv bytes, ppm bytes).
+    """Classify every grid cell; returns (strata, margins, CSV blocks, ppm bytes).
 
     strata and margins are the (ny, nx) ``classify_grid`` arrays, row j at
     the j-th beta.  CSV rows run in row-major order over (beta, alpha); the
@@ -367,10 +380,11 @@ def run_sweep(config: dict):
     beta_texts = np.array([f"{b:.12g}" for b in betas.tolist()], dtype=object)
     classes = np.array([f"{label},{atlas.STRATUM_DYNAMICS[label]}"
                         for label in atlas.STRATA], dtype=object)
-    csv_bytes = _csv(["alpha", "beta", "stratum", "dynamics", "margin", "lambda_min"],
-                     row, [np.repeat(beta_texts, nx), classes[strata.ravel()],
-                           margins.ravel()])
-    return strata, margins, csv_bytes, render_raster(strata[::-1])
+    csv_blocks = _csv_blocks(["alpha", "beta", "stratum", "dynamics", "margin",
+                              "lambda_min"],
+                             row, [np.repeat(beta_texts, nx), classes[strata.ravel()],
+                                   margins.ravel()])
+    return strata, margins, csv_blocks, render_raster(strata[::-1])
 
 
 def run_path(config: dict):
@@ -404,33 +418,47 @@ def run_path(config: dict):
         if prev_len is not None and abs(length - prev_len) > 0.25:
             jumps.append(k)
         prev_len = length
-    csv_bytes = _csv(["step", "alpha", "beta", "stratum", "span_length",
-                      "span_full", "trap_margin"], lines, list(zip(*rows)))
+    csv_blocks = _csv_blocks(["step", "alpha", "beta", "stratum", "span_length",
+                              "span_full", "trap_margin"], lines, list(zip(*rows)))
     report = {"jump_steps": jumps,
               "first_jump_step": jumps[0] if jumps else None,
               "jump_count": len(jumps)}
-    return rows, csv_bytes, report
+    return rows, csv_blocks, report
+
+
+# orbit points per np.histogram call: the orbit is binned chunk by chunk and
+# never held whole; a point's bin does not depend on its chunk, so the summed
+# counts are those of one call on the whole orbit
+HISTOGRAM_CHUNK = 8192
 
 
 def run_histogram(config: dict):
-    """Bin a single long orbit over the circle; deterministic for fixed seed."""
+    """Bin a single long orbit over the circle; deterministic for fixed seed.
+
+    Returns the (bin, lo, hi, count) rows and the CSV blocks."""
     h = config["histogram"]
     if h["orbit_length"] < h["bins"]:
         raise ValidationError("histogram.orbit_length", "must be >= bins")
     model = _model(config)
     f, on_discontinuity = model.f, model.on_discontinuity
-    # the burn-in is stepped into the same array, so a size that cannot be
-    # allocated fails before the first step
-    orbit = np.empty(h["burn_in"] + h["orbit_length"])
-    x = Random(h["seed"]).random()
-    for i in range(orbit.size):
-        x = f(x if on_discontinuity(x) is None else norm1(x + 1e-9))
-        orbit[i] = x
-    counts, edges = np.histogram(orbit[h["burn_in"]:], bins=h["bins"], range=(0.0, 1.0))
+
+    def orbit(x):
+        while True:
+            x = f(x if on_discontinuity(x) is None else norm1(x + 1e-9))
+            yield x
+
+    points = orbit(Random(h["seed"]).random())
+    for _ in islice(points, h["burn_in"]):      # stepped, never stored
+        pass
+    n, counts = h["orbit_length"], np.zeros(h["bins"], dtype=np.int64)
+    for lo in range(0, n, HISTOGRAM_CHUNK):
+        chunk = np.fromiter(points, float, count=min(HISTOGRAM_CHUNK, n - lo))
+        chunk_counts, edges = np.histogram(chunk, bins=h["bins"], range=(0.0, 1.0))
+        counts += chunk_counts
     rows = [[i, edges[i], edges[i + 1], int(c)] for i, c in enumerate(counts)]
-    csv_bytes = _csv(["bin", "lo", "hi", "count"], ["%d,%.12g,%.12g,%d"],
-                     list(zip(*rows)))
-    return rows, csv_bytes
+    csv_blocks = _csv_blocks(["bin", "lo", "hi", "count"], ["%d,%.12g,%.12g,%d"],
+                             list(zip(*rows)))
+    return rows, csv_blocks
 
 
 def _degree_family(config: dict):
@@ -448,8 +476,10 @@ def _degree_family(config: dict):
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each returns {file name: payload}, where a dict is a JSON report
-# and bytes are written as they are; ``main`` writes them all
+# subcommands: each returns {file name: payload}, where a dict is a JSON report,
+# bytes are written as they are and any other payload is an iterable of
+# encoded blocks, written one at a time as they are made; ``main`` writes
+# them all
 
 
 def _word_from_config(config: dict) -> Word:
@@ -533,24 +563,24 @@ def cmd_conjugacy(config: dict) -> dict:
             "other_theta1": other.params.theta1,
             "defect": result.defect, "interp_defect": result.interp_defect,
             "monotone": result.monotone, "pairs": len(result.pairs)},
-        "conjugacy_pairs.csv": _csv(["x", "h_x"], ["%.12g,%.12g"],
-                                    list(zip(*result.pairs))),
+        "conjugacy_pairs.csv": _csv_blocks(["x", "h_x"], ["%.12g,%.12g"],
+                                           list(zip(*result.pairs))),
     }
 
 
 def cmd_sweep(config: dict) -> dict:
-    _, _, csv_bytes, ppm = run_sweep(config)
-    return {"sweep.csv": csv_bytes, "sweep.ppm": ppm}
+    _, _, csv_blocks, ppm = run_sweep(config)
+    return {"sweep.csv": csv_blocks, "sweep.ppm": ppm}
 
 
 def cmd_path(config: dict) -> dict:
-    _, csv_bytes, report = run_path(config)
-    return {"path.csv": csv_bytes, "path_report.json": report}
+    _, csv_blocks, report = run_path(config)
+    return {"path.csv": csv_blocks, "path_report.json": report}
 
 
 def cmd_histogram(config: dict) -> dict:
-    _, csv_bytes = run_histogram(config)
-    return {"histogram.csv": csv_bytes}
+    _, csv_blocks = run_histogram(config)
+    return {"histogram.csv": csv_blocks}
 
 
 def cmd_attractor2d(config: dict) -> dict:
@@ -560,7 +590,8 @@ def cmd_attractor2d(config: dict) -> dict:
     cloud = attractor_cloud(skew, **config["cloud"])
     points = cloud.points
     return {
-        "cloud.csv": _csv(["x", "y"], ["%.12g,%.12g"], [points[:, 0], points[:, 1]]),
+        "cloud.csv": _csv_blocks(["x", "y"], ["%.12g,%.12g"],
+                                 [points[:, 0], points[:, 1]]),
         "cloud.pgm": render_pgm(cloud.raster),
         "attractor2d.json": {"leaf_span": leaf_span_2d(points)},
     }
@@ -615,7 +646,8 @@ def main(argv=None) -> int:
         for name, payload in COMMANDS[args.command](config).items():
             if isinstance(payload, dict):
                 payload = _json_report(payload, config)
-            (args.out / name).write_bytes(payload)
+            with open(args.out / name, "wb") as fh:
+                fh.writelines([payload] if isinstance(payload, bytes) else payload)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

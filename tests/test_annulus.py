@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from lorenzlab.annulus import (
     SkewModel,
@@ -257,6 +258,85 @@ def test_leaf_span_agrees_with_1d():
     sk2 = build_skew(M(0.25, 0.75), 0.2)
     cloud2 = attractor_cloud(sk2, depth=12, samples=2000, burn_in=80, seed=11)
     assert leaf_span_2d(cloud2.points) == Arc.full_circle()
+
+
+def _leaf_span_unique(points):
+    """leaf_span_2d as it was computed: the largest circular gap between
+    consecutive values of one np.unique over every rounded x."""
+    xs = np.unique(np.round(points[:, 0], 12))
+    if xs.size < 2:
+        return Arc.full_circle()
+    gaps = np.diff(xs)
+    wrap = (1.0 - xs[-1]) + xs[0]
+    i = int(np.argmax(gaps))
+    if wrap >= gaps[i]:
+        gap_lo, gap_hi, gap_len = xs[-1], xs[0], wrap
+    else:
+        gap_lo, gap_hi, gap_len = xs[i], xs[i + 1], gaps[i]
+    if gap_len < 1e-3:
+        return Arc.full_circle()
+    return Arc(norm1(gap_hi), norm1(gap_lo))
+
+
+def _comb(n, step, start):
+    """n evenly spaced values from start, wrapped into [0, 1): equal gaps,
+    so ties, and gaps on either side of 1e-3 as step crosses it."""
+    return [(start + k * step) % 1.0 for k in range(n)]
+
+
+# values that round to 1.0, bucket edges k / 1024, and pairs 1e-3 apart
+# give or take one rounding unit of the 12-digit grid
+_EDGE_XS = [0.0, 1.0 - 1e-13, 1.0 - 4e-13, 2.0 ** -10, 1023 / 1024, 1e-3, 0.5,
+            0.5 + 1e-3, 0.5 + 1e-3 - 1e-12, 0.5 + 1e-3 + 1e-12, 0.75, 0.25]
+
+_leaf_xs = st.lists(st.one_of(
+    st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=30),
+    st.lists(st.sampled_from(_EDGE_XS), max_size=8),
+    st.builds(_comb, st.integers(1, 1100),
+              st.floats(0.0009, 0.0011) | st.floats(0.0, 1.0) | st.just(1e-3),
+              st.floats(0.0, 1.0, exclude_max=True)),
+), max_size=4).map(lambda parts: [x for part in parts for x in part])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_leaf_xs)
+@example([])                                    # no point
+@example([0.3, 0.3, 0.3])                       # one distinct value
+@example([0.3, 0.3 + 1e-4])                     # two values in one bucket
+@example([0.0, 0.5])                            # a gap tied with the wrap
+@example([0.1, 0.3, 0.5])                       # two tied gaps, the wrap larger
+@example([0.0, 1.0 - 1e-13, 0.4])               # a value that rounds to 1.0
+@example(_comb(1000, 1e-3, 0.0))                # gaps of 1e-3 up to rounding
+@example(_comb(999, 1e-3, 0.0) + [0.9995])      # the largest gap just under 1e-3
+def test_leaf_span_matches_unique_reference(xs):
+    points = np.column_stack([np.array(xs, dtype=float), np.zeros(len(xs))])
+    assert leaf_span_2d(points) == _leaf_span_unique(points)
+
+
+def _raster_bincount(points, width, height):
+    """attractor_cloud's raster as it was computed: one bincount over every
+    point's pixel index, shaded through the 0..peak table."""
+    cols = np.clip((points[:, 0] * width).astype(int), 0, width - 1)
+    rows = np.clip(((1.0 - (points[:, 1] + 1.0) / 2.0) * height).astype(int), 0, height - 1)
+    hits = np.bincount(rows * width + cols, minlength=height * width)
+    peak = max(hits.max(), 1)
+    shade = (255.0 * np.arange(peak + 1) / peak).astype(np.uint8)
+    return shade[hits].reshape(height, width)
+
+
+@pytest.mark.parametrize("kw", [
+    {},
+    {"width": 8, "height": 8, "samples": 3000},     # peaks far above 255 hits
+    {"width": 37, "height": 11, "depth": 1, "burn_in": 0, "samples": 1},
+    {"width": 512, "height": 256, "depth": 16, "samples": 500, "seed": 3},
+])
+def test_cloud_raster_matches_bincount_reference(kw):
+    args = {"depth": 12, "samples": 2000, "burn_in": 60, "seed": 7,
+            "width": 512, "height": 256, **kw}
+    cloud = attractor_cloud(SK, **args)
+    want = _raster_bincount(cloud.points, args["width"], args["height"])
+    assert cloud.raster.dtype == np.uint8
+    assert np.array_equal(cloud.raster, want)
 
 
 def test_family_degree():

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from lorenzlab import atlas, cli
 from lorenzlab.annulus import attractor_cloud, build_skew
+from lorenzlab.circle import norm1
 from lorenzlab.errors import (
     KneadingRecursionViolated,
     NotMarkov,
@@ -61,10 +62,16 @@ def _sweep_rows(csv_bytes):
     return list(csv.DictReader(io.StringIO(csv_bytes.decode())))
 
 
+def _run_sweep(cfg):
+    """cli.run_sweep with its CSV blocks joined into one document."""
+    strata, margins, csv_blocks, ppm = cli.run_sweep(cfg)
+    return strata, margins, b"".join(csv_blocks), ppm
+
+
 def test_sweep_corners():
     cfg = load(sweep={"grid_nx": 2, "grid_ny": 2,
                       "alpha_range": [0.25, 0.707], "beta_range": [0.3, 0.75]})
-    strata, margins, csv_bytes, ppm = cli.run_sweep(cfg)
+    strata, margins, csv_bytes, ppm = _run_sweep(cfg)
     rows = _sweep_rows(csv_bytes)
     by_ab = {(float(r["alpha"]), float(r["beta"])): (r["stratum"], r["dynamics"])
              for r in rows}
@@ -82,16 +89,16 @@ def test_sweep_corners():
 def test_sweep_deterministic_and_worker_independent():
     spec = {"grid_nx": 8, "grid_ny": 6, "alpha_range": [0.1, 0.9],
             "beta_range": [0.1, 0.9]}
-    *_, csv1, ppm1 = cli.run_sweep(load(sweep=spec))
-    *_, csv2, ppm2 = cli.run_sweep(load(sweep=spec))
+    *_, csv1, ppm1 = _run_sweep(load(sweep=spec))
+    *_, csv2, ppm2 = _run_sweep(load(sweep=spec))
     assert csv1 == csv2 and ppm1 == ppm2
-    *_, csv3, ppm3 = cli.run_sweep(load(sweep={**spec, "workers": 2}))
+    *_, csv3, ppm3 = _run_sweep(load(sweep={**spec, "workers": 2}))
     assert csv3 == csv1 and ppm3 == ppm1
 
 
 def test_sweep_rows_obey_verdict_table():
     cfg = load(sweep={"grid_nx": 16, "grid_ny": 16})
-    *_, csv_bytes, _ = cli.run_sweep(cfg)
+    *_, csv_bytes, _ = _run_sweep(cfg)
     rows = _sweep_rows(csv_bytes)
     assert len(rows) == 256
     for r in rows:
@@ -102,7 +109,7 @@ def test_sweep_degenerate_band():
     cfg = load(model={"theta1": 0.0, "theta2": 0.0},
                sweep={"grid_nx": 9, "grid_ny": 9,
                       "alpha_range": [0.3, 0.7], "beta_range": [0.3, 0.7]})
-    *_, csv_bytes, _ = cli.run_sweep(cfg)
+    *_, csv_bytes, _ = _run_sweep(cfg)
     # both fixed points exist on the diagonal only where alpha > 1/2
     on_diag = [r for r in _sweep_rows(csv_bytes)
                if abs(float(r["alpha"]) + float(r["beta"]) - 1.0) < 1e-9
@@ -160,7 +167,7 @@ def _row_wise_sweep(config):
 ], ids=["wrapped", "degenerate", "2x2", "block-edge"])
 def test_sweep_emitters_match_row_wise_oracle(doc):
     cfg = load(doc)
-    *_, csv_bytes, ppm = cli.run_sweep(cfg)
+    *_, csv_bytes, ppm = _run_sweep(cfg)
     want_csv, want_ppm = _row_wise_sweep(cfg)
     assert csv_bytes == want_csv
     assert ppm == want_ppm
@@ -221,9 +228,12 @@ _B = cli.CSV_BLOCK_ROWS
 def test_csv_blocks_match_one_pass_reference(kind, rows):
     header, lines, columns, ref_lines, ref_values = _emitter_inputs(
         kind, rows, np.random.default_rng(rows))
-    got = cli._csv(header, lines, columns)
-    assert got == _csv_reference(header, ref_lines, ref_values)
-    assert got.count(b"\n") == rows + 1
+    want = _csv_reference(header, ref_lines, ref_values)
+    assert cli._csv(header, lines, columns) == want
+    blocks = list(cli._csv_blocks(header, lines, columns))
+    assert b"".join(blocks) == want
+    assert [block.count(b"\n") for block in blocks] == [
+        min(_B, rows - lo) + (lo == 0) for lo in range(0, rows, _B)]
 
 
 def _python_peak(fn):
@@ -242,43 +252,102 @@ def _python_peak(fn):
     return result, peak - base
 
 
-def test_csv_emission_holds_a_table_about_once():
-    # whole-table formatting held every cell, their tuple, the text and its
-    # bytes at once: 4.1x the CSV length on this sweep and 5.7x on the
-    # 48,000-point cloud.  Row blocks measure 1.77x and 2.52x, so the bounds
-    # leave 13% and 39% headroom; whole-table formatting fails both
-    cfg = load(sweep={"grid_nx": 256, "grid_ny": 256})
-    cli.run_sweep(cfg)              # first-call imports and caches are not the emitter's
-    (*_, csv_bytes, _), peak = _python_peak(lambda: cli.run_sweep(cfg))
-    assert peak <= 2.0 * len(csv_bytes)
+def _main_peak(command, doc, out):
+    """The Python peak of cli.main running one command on a config, after
+    one untimed run for first-call imports and caches."""
+    cfg = out / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    argv = [command, "--config", str(cfg), "--out", str(out)]
+    assert cli.main(argv) == 0
+    code, peak = _python_peak(lambda: cli.main(argv))
+    assert code == 0
+    return peak
 
-    cfg = load(cloud={"samples": 4000})
-    cli.cmd_attractor2d(cfg)
-    outputs, peak = _python_peak(lambda: cli.cmd_attractor2d(cfg))
-    assert outputs["cloud.csv"].count(b"\n") == 48_001
-    assert peak <= 3.5 * len(outputs["cloud.csv"])
+
+def test_csv_emission_holds_a_table_about_once(tmp_path):
+    # main writes each CSV block as it is formatted, so a run peaks at its
+    # arrays.  The 256^2 sweep peaks at classify_grid's own peak on its grid
+    # (4.38 MB against 4.40 MB); holding the 4.16 MB sweep.csv whole while it
+    # was formatted in row blocks peaked at 7.39 MB.  The bound allows a tenth
+    # of the CSV above classify_grid, which the whole-table peak misses by
+    # 2.6 MB
+    peak = _main_peak("sweep", {"sweep": {"grid_nx": 256, "grid_ny": 256}}, tmp_path)
+    csv_length = (tmp_path / "sweep.csv").stat().st_size
+    params = ModelParams(**load()["model"])
+    grid = np.linspace(0.0, 1.0, 256)
+    _, grid_peak = _python_peak(lambda: atlas.classify_grid(params, grid, grid[:, None]))
+    assert peak <= grid_peak + 0.1 * csv_length
+
+    # the cloud's peak grows with its points, not with its CSV: from 4,000
+    # to 16,000 samples it grows by 0.72x the CSV's growth (3.45 MB against
+    # 4.81 MB), where a whole cloud.csv grew it by 2.25x; the bound leaves
+    # 11% headroom
+    peaks, lengths = [], []
+    for samples in (4000, 16_000):
+        peaks.append(_main_peak("attractor2d", {"cloud": {"samples": samples}}, tmp_path))
+        lengths.append((tmp_path / "cloud.csv").stat().st_size)
+        assert (tmp_path / "cloud.csv").read_bytes().count(b"\n") == 12 * samples + 1
+    assert peaks[1] - peaks[0] <= 0.8 * (lengths[1] - lengths[0])
 
 
 def test_attractor_cloud_holds_no_float_image():
-    # counting hits in an int64 raster with np.add.at and scaling it through
-    # a float64 image, with the points copied into a new (n, 2) array, peaked
-    # at 3.78x the default cloud.csv; bincount, the shade table and the
-    # points as a view of the orbit buffer measure 2.55x, so the bound leaves
-    # 18% headroom
+    # counting hits in an int64 raster and scaling it through a float64
+    # image peaked at 3.78x the default cloud.csv, and bincount over three
+    # 8-byte per-point index arrays at 2.59x.  Counting one kept row at a
+    # time into an int32 counter measures 1.50x, so the bound leaves 17%
+    # headroom; an 8-byte counter alone would reach 2.16x
     cfg = load()
-    csv_length = len(cli.cmd_attractor2d(cfg)["cloud.csv"])
+    csv_length = len(b"".join(cli.cmd_attractor2d(cfg)["cloud.csv"]))
     skew = build_skew(cli._model(cfg), **cfg["skew"])
     _, peak = _python_peak(lambda: attractor_cloud(skew, **cfg["cloud"]))
-    assert peak <= 3.0 * csv_length
+    assert peak <= 1.75 * csv_length
+
+
+def test_histogram_holds_no_orbit():
+    # the orbit is binned HISTOGRAM_CHUNK points at a time: 0.39 MB at a
+    # million steps, where the whole orbit and one np.histogram call took
+    # 10.3 MB; the bound leaves 2.6x headroom
+    cfg = load(histogram={"orbit_length": 10**6})
+    cli.run_histogram(load())
+    _, peak = _python_peak(lambda: cli.run_histogram(cfg))
+    assert peak < 1_000_000
+
+
+def _histogram_reference(config):
+    """run_histogram's counts as they were computed: the burn-in and the
+    orbit stepped into one array, binned by one np.histogram call."""
+    h = config["histogram"]
+    model = cli._model(config)
+    orbit = np.empty(h["burn_in"] + h["orbit_length"])
+    x = cli.Random(h["seed"]).random()
+    for i in range(orbit.size):
+        x = model.f(x if model.on_discontinuity(x) is None else norm1(x + 1e-9))
+        orbit[i] = x
+    counts, edges = np.histogram(orbit[h["burn_in"]:], bins=h["bins"], range=(0.0, 1.0))
+    return [[i, edges[i], edges[i + 1], int(c)] for i, c in enumerate(counts)]
+
+
+@pytest.mark.parametrize("bins", [1000, 1023])
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_histogram_chunks_match_one_pass_reference(bins, extra):
+    cfg = load(histogram={"orbit_length": cli.HISTOGRAM_CHUNK + extra, "burn_in": 37,
+                          "bins": bins, "seed": 3 + extra})
+    rows, csv_blocks = cli.run_histogram(cfg)
+    want = _histogram_reference(cfg)
+    assert rows == want
+    assert sum(r[3] for r in rows) == cli.HISTOGRAM_CHUNK + extra
+    assert b"".join(csv_blocks) == _csv_reference(
+        ["bin", "lo", "hi", "count"], ["%d,%.12g,%.12g,%d"] * bins,
+        [v for row in want for v in row])
 
 
 def test_path_collision_detector_fires_once():
     cfg = load(model={"theta1": 0.19},
                path={"start": [0.77, 0.22], "end": [0.79, 0.22], "steps": 21})
-    rows, csv_bytes, report = cli.run_path(cfg)
+    rows, csv_blocks, report = cli.run_path(cfg)
     assert report["jump_count"] == 1
     assert report["first_jump_step"] == 10
-    header = csv_bytes.decode().splitlines()[0]
+    header = next(csv_blocks).decode().splitlines()[0]
     assert header == "step,alpha,beta,stratum,span_length,span_full,trap_margin"
     # trapping margin defined exactly on the down-Lorenz steps
     for r in rows:
@@ -312,7 +381,7 @@ def test_histogram_deterministic():
                           "bins": 64, "seed": 9})
     _, csv1 = cli.run_histogram(cfg)
     _, csv2 = cli.run_histogram(cfg)
-    assert csv1 == csv2
+    assert b"".join(csv1) == b"".join(csv2)
 
 
 def test_histogram_up_lorenz_support():
@@ -424,11 +493,13 @@ BAD_INPUTS = [
     ("classify", None, 2),                                     # missing file
     ("classify", b"\xff\xfe{}", 2),                           # not UTF-8
     ("classify --out cfg.json/sub", "{}", 2),                  # --out under a file
-    # sizes whose first array cannot be allocated
+    # loops that plan more than cli.MAX_STEPS steps, one case per key; each
+    # ran until killed before the cap, or exited 4 only once an allocation
+    # failed (test_planned_steps_cap_runs_no_loop)
     ("histogram", '{"histogram": {"orbit_length": 1000000000000000}}', 4),
     ("histogram", '{"histogram": {"burn_in": 1000000000000000}}', 4),
-    # loops that plan more than cli.MAX_STEPS steps, one case per key; each
-    # ran until killed before the cap (test_planned_steps_cap_runs_no_loop)
+    ("sweep", '{"sweep": {"grid_nx": 1000000000000000}}', 4),
+    ("path", '{"path": {"steps": 1000000000000000}}', 4),
     ("attractor2d", '{"cloud": {"samples": 1000000000000000}}', 4),
     ("attractor2d", '{"cloud": {"burn_in": 1000000000000000}}', 4),
     ("kneading", '{"engine": {"depth": 1000000000000000}}', 4),
@@ -445,9 +516,6 @@ BAD_INPUTS = [
     ("conjugacy", '{"conjugacy": {"grid": 100000000000000000000}}', 2),
     ("verify", '{"eigenvalues": {"N": 100000000000000000000}}', 2),
     ("sweep", '{"sweep": {"grid_nx": 100000000000000000000}}', 2),
-    # within the cap, but too large to allocate: one array up front, no loop
-    ("sweep", '{"sweep": {"grid_nx": 1000000000000000}}', 4),
-    ("path", '{"path": {"steps": 1000000000000000}}', 4),
     # a cusp word the shoot matches to depth 60 whose cylinder realize cannot
     # resolve past depth 36
     pytest.param("conjugacy", _PAST_RESOLUTION, 3, id="conjugacy-match_depth-60-3"),
@@ -492,6 +560,12 @@ def test_main_conjugacy_past_resolution_names_match_depth(tmp_path, capsys):
      "shoot_matched_model"),
     ("verify", {"eigenvalues": {"N": 10**6}}, "eigenvalues.N",
      "check_singularity_conditions"),
+    ("histogram", {"histogram": {"burn_in": 10**15}}, "histogram.burn_in",
+     "run_histogram"),
+    ("histogram", {"histogram": {"orbit_length": 10**15}}, "histogram.orbit_length",
+     "run_histogram"),
+    ("path", {"path": {"steps": 10**15}}, "path.steps", "classify_grid"),
+    ("sweep", {"sweep": {"grid_nx": 10**15}}, "sweep.grid_nx", "classify_grid"),
 ])
 def test_planned_steps_cap_runs_no_loop(command, doc, key, loop, tmp_path, capsys,
                                         monkeypatch):
@@ -516,8 +590,7 @@ def test_planned_steps_cap_clears_every_shipped_config():
     workloads = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.json"
     docs = [*CONFIGS.values(),
             *(part["config"] for part in json.loads(workloads.read_text())["parts"].values())]
-    planned = [steps(load(doc)[section])
-               for doc in docs for section, _, steps in cli.PLANNED_STEPS.values()]
+    planned = [steps(load(doc)) for doc in docs for _, steps in cli.PLANNED_STEPS.values()]
     assert max(planned) == 4_000 * (60 + 12)
     assert cli.MAX_STEPS >= 34 * max(planned)
 
