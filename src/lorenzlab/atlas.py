@@ -87,39 +87,27 @@ class RegionVerdict(NamedTuple):
     sigma_minus: Arc | None = None
 
 
-def classify_grid(params: ModelParams, alphas, betas):
-    """Stratum label, margin to the nearest stratum and fixed points of the
-    models at (alphas, betas), broadcast against each other.
+def solve_axis(params: ModelParams, values, branch: int):
+    """The cusp q_i and the fixed point p_i of branch i of the models whose
+    alpha (branch 1) or beta (branch 2) runs over values, in arrays of
+    values' shape; a missing fixed point is NaN.  q_i and p_i read only that
+    one parameter, so each distinct value is solved once."""
+    values = np.asarray(values, dtype=float)
+    distinct, inverse = np.unique(values, return_inverse=True)
+    key = "alpha" if branch == 1 else "beta"
+    models = (build_model(params._replace(**{key: v})) for v in distinct.tolist())
+    # a missing fixed point (None) becomes NaN; only the ++ cases read p_i
+    q, p = np.array([(m.q1 if branch == 1 else m.q2, branch_fixed_point(m, branch))
+                     for m in models], dtype=float).reshape(-1, 2).T
+    inverse = inverse.reshape(values.shape)
+    return q[inverse], p[inverse]
 
-    A row of alphas and a column of betas give a sweep grid; two vectors of
-    equal length give a path.  Returns (stratum, margin, p1, p2), float64
-    arrays of the broadcast shape except stratum, which holds indices into
-    STRATA; a missing fixed point is NaN.  p1 reads only alpha and p2 only
-    beta, so each is solved once per element of its input.
 
-    The rule, first match wins: a cusp within SNAP of a discontinuity is
-    homoclinic (H12 when both cusps sit on the same one, else H1 before H2).
-    Otherwise the fixed points decide the quadrant, and in the doubly-fixed
-    quadrant the heteroclinic loci HE1 {q1 = p2} and HE2 {q2 = p1} (a cusp
-    within SNAP of the other branch's fixed point) come next.  These two
-    collision curves cut the rest of the quadrant in three: L+ where both
-    cusps lie in sigma+ = (p2, p1), that is q1 > p2 and q2 < p1, L- where
-    neither does, and tilde otherwise.  The margin is the least
-    cusp-to-discontinuity distance, and off the homoclinic loci in the
-    doubly-fixed quadrant also the least heteroclinic distance.  SNAP is also
-    the distance at which ``maps.fixed_points`` refuses a homoclinic cusp, so
-    that refusal is never reached from here.
-    """
+def classify_cells(params: ModelParams, q1, p1, q2, p2):
+    """Stratum index into STRATA and margin of the cells whose cusps and
+    fixed points are given, broadcast against each other; ``classify_grid``
+    states the rule."""
     c = params.c_minus
-    alphas, betas = np.asarray(alphas, dtype=float), np.asarray(betas, dtype=float)
-    cols = [build_model(params._replace(alpha=a)) for a in alphas.ravel().tolist()]
-    rows = [build_model(params._replace(beta=b)) for b in betas.ravel().tolist()]
-    # a missing fixed point (None) becomes NaN; only the ++ cases read p1, p2
-    q1 = np.array([m.q1 for m in cols]).reshape(alphas.shape)
-    p1 = np.array([branch_fixed_point(m, 1) for m in cols], dtype=float).reshape(alphas.shape)
-    q2 = np.array([m.q2 for m in rows]).reshape(betas.shape)
-    p2 = np.array([branch_fixed_point(m, 2) for m in rows], dtype=float).reshape(betas.shape)
-
     d1p, d1m = circle_dist_np(q1, 0.0), circle_dist_np(q1, c)
     d2p, d2m = circle_dist_np(q2, 0.0), circle_dist_np(q2, c)
     h1p, h1m, h2p, h2m = d1p <= SNAP, d1m <= SNAP, d2p <= SNAP, d2m <= SNAP
@@ -149,7 +137,35 @@ def classify_grid(params: ModelParams, alphas, betas):
     h_margin = np.minimum(np.minimum(d1p, d1m), np.minimum(d2p, d2m))
     pp_margin = np.minimum(h_margin, np.minimum(he1_d, he2_d))
     on_h = h1p | h1m | h2p | h2m
-    margin = np.where(plus1 & plus2 & ~on_h, pp_margin, h_margin)
+    return stratum, np.where(plus1 & plus2 & ~on_h, pp_margin, h_margin)
+
+
+def classify_grid(params: ModelParams, alphas, betas):
+    """Stratum label, margin to the nearest stratum and fixed points of the
+    models at (alphas, betas), broadcast against each other.
+
+    A row of alphas and a column of betas give a sweep grid; two vectors of
+    equal length give a path.  Returns (stratum, margin, p1, p2), float64
+    arrays of the broadcast shape except stratum, which holds indices into
+    STRATA; a missing fixed point is NaN.  It is ``classify_cells`` on the
+    two ``solve_axis`` results.
+
+    The rule, first match wins: a cusp within SNAP of a discontinuity is
+    homoclinic (H12 when both cusps sit on the same one, else H1 before H2).
+    Otherwise the fixed points decide the quadrant, and in the doubly-fixed
+    quadrant the heteroclinic loci HE1 {q1 = p2} and HE2 {q2 = p1} (a cusp
+    within SNAP of the other branch's fixed point) come next.  These two
+    collision curves cut the rest of the quadrant in three: L+ where both
+    cusps lie in sigma+ = (p2, p1), that is q1 > p2 and q2 < p1, L- where
+    neither does, and tilde otherwise.  The margin is the least
+    cusp-to-discontinuity distance, and off the homoclinic loci in the
+    doubly-fixed quadrant also the least heteroclinic distance.  SNAP is also
+    the distance at which ``maps.fixed_points`` refuses a homoclinic cusp, so
+    that refusal is never reached from here.
+    """
+    q1, p1 = solve_axis(params, alphas, 1)
+    q2, p2 = solve_axis(params, betas, 2)
+    stratum, margin = classify_cells(params, q1, p1, q2, p2)
     return (stratum, margin, np.broadcast_to(p1, stratum.shape),
             np.broadcast_to(p2, stratum.shape))
 

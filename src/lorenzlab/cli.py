@@ -45,6 +45,8 @@ from .errors import (
 from .maps import (
     PLUS,
     MINUS,
+    SNAP,
+    TWO_PI,
     EigenvalueTriple,
     MapModel,
     ModelParams,
@@ -293,8 +295,16 @@ _PALETTE_RGB = np.array([PALETTE[label] for label in atlas.STRATA], dtype=np.uin
 def render_raster(strata: np.ndarray) -> bytes:
     """Binary PPM (P6), one pixel per cell of an array of indices into
     atlas.STRATA, rows emitted as given."""
+    return b"".join(_raster_blocks(strata, len(strata)))
+
+
+def _raster_blocks(strata: np.ndarray, rows: int):
+    """``render_raster``'s document as its header and then blocks of ``rows``
+    rows of pixels, each looked up when it is reached."""
     height, width = strata.shape
-    return f"P6\n{width} {height}\n255\n".encode() + _PALETTE_RGB[strata].tobytes()
+    yield f"P6\n{width} {height}\n255\n".encode()
+    for lo in range(0, height, rows):
+        yield _PALETTE_RGB[strata[lo:lo + rows]].tobytes()
 
 
 def render_pgm(img: np.ndarray) -> bytes:
@@ -304,7 +314,7 @@ def render_pgm(img: np.ndarray) -> bytes:
 
 # rows per block of CSV text: a block's cells, filled template and encoded
 # text exist only until main has written it, so no table is ever held whole
-CSV_BLOCK_ROWS = 4096
+CSV_BLOCK_ROWS = 1024
 
 
 def _csv(header: list[str] | None, lines, columns) -> bytes:
@@ -322,7 +332,7 @@ def _csv(header: list[str] | None, lines, columns) -> bytes:
     return (head + "\n".join(islice(cycle(lines), rows)) % tuple(cells) + "\n").encode()
 
 
-def _csv_blocks(header: list[str], lines, columns):
+def _csv_blocks(header: list[str] | None, lines, columns):
     """The CSV document of ``_csv``'s arguments as encoded blocks of
     CSV_BLOCK_ROWS rows, the header in the first.  Row k still fills
     ``lines[k % len(lines)]``, whatever the block length."""
@@ -350,13 +360,23 @@ def _json_report(payload: dict, config: dict) -> bytes:
 # drivers
 
 
-def run_sweep(config: dict):
-    """Classify every grid cell; returns (strata, margins, CSV blocks, ppm bytes).
+# cells per classified block of sweep rows: a block's cell rule, margins and
+# CSV columns exist only while its CSV blocks are formatted
+SWEEP_BLOCK_CELLS = 4096
 
-    strata and margins are the (ny, nx) ``classify_grid`` arrays, row j at
-    the j-th beta.  CSV rows run in row-major order over (beta, alpha); the
-    raster top row carries the maximal beta.  The grid is classified in one
-    process; ``sweep.workers`` is accepted and ignored.
+
+def run_sweep(config: dict):
+    """Classify every grid cell; returns (strata, CSV blocks, PPM blocks).
+
+    Each axis is solved once up front (``atlas.solve_axis``); the CSV blocks
+    then classify the grid in blocks of whole rows of about
+    SWEEP_BLOCK_CELLS cells (``atlas.classify_cells``) and format each as
+    they reach it.  Only the strata are held for the whole grid: the (ny, nx)
+    uint8 indices into atlas.STRATA, row j at the j-th beta, filled as the
+    CSV blocks are consumed.  The PPM blocks read them, so they must be
+    consumed after the CSV blocks.  CSV rows run in row-major order over
+    (beta, alpha); the raster top row carries the maximal beta.  The grid is
+    classified in one process; ``sweep.workers`` is accepted and ignored.
     """
     sw = config["sweep"]
     params = ModelParams(**config["model"])
@@ -371,7 +391,10 @@ def run_sweep(config: dict):
         if not np.isfinite(values).all():
             raise ValidationError(field, "grid values overflow; narrow the range")
     lambda_min = build_model(params).lambda_min
-    strata, margins, _, _ = classify_grid(params, alphas, betas[:, None])
+    q1, p1 = atlas.solve_axis(params, alphas, 1)
+    q2, p2 = atlas.solve_axis(params, betas[:, None], 2)
+    strata = np.empty((ny, nx), dtype=np.uint8)
+    block_rows = max(1, SWEEP_BLOCK_CELLS // nx)
     # alpha and lambda_min are formatted into the row template once, beta once
     # per grid row, stratum,dynamics once per stratum, the margin per cell;
     # the text columns are object arrays of references to those strings
@@ -380,11 +403,18 @@ def run_sweep(config: dict):
     beta_texts = np.array([f"{b:.12g}" for b in betas.tolist()], dtype=object)
     classes = np.array([f"{label},{atlas.STRATUM_DYNAMICS[label]}"
                         for label in atlas.STRATA], dtype=object)
-    csv_blocks = _csv_blocks(["alpha", "beta", "stratum", "dynamics", "margin",
-                              "lambda_min"],
-                             row, [np.repeat(beta_texts, nx), classes[strata.ravel()],
-                                   margins.ravel()])
-    return strata, margins, csv_blocks, render_raster(strata[::-1])
+
+    def csv_blocks():
+        header = ["alpha", "beta", "stratum", "dynamics", "margin", "lambda_min"]
+        for lo in range(0, ny, block_rows):
+            hi = lo + block_rows
+            block, margins = atlas.classify_cells(params, q1, p1, q2[lo:hi], p2[lo:hi])
+            strata[lo:hi] = block
+            yield from _csv_blocks(header if lo == 0 else None, row,
+                                   [np.repeat(beta_texts[lo:hi], nx),
+                                    classes[block.ravel()], margins.ravel()])
+
+    return strata, csv_blocks(), _raster_blocks(strata[::-1], block_rows)
 
 
 def run_path(config: dict):
@@ -440,11 +470,26 @@ def run_histogram(config: dict):
     if h["orbit_length"] < h["bins"]:
         raise ValidationError("histogram.orbit_length", "must be >= bins")
     model = _model(config)
-    f, on_discontinuity = model.f, model.on_discontinuity
+    c, q1, q2 = model.c_minus, model.q1, model.q2
+    L1, L2 = model.profile1.length, model.profile2.length
+    k1, k2 = model.profile1.theta / TWO_PI, model.profile2.theta / TWO_PI
+    sin, floor = math.sin, math.floor
 
     def orbit(x):
+        # model.f after a nudge off a point that model.on_discontinuity
+        # finds, with the branch constants bound once; every expression keeps
+        # the order of those methods, so each point is the same double
         while True:
-            x = f(x if on_discontinuity(x) is None else norm1(x + 1e-9))
+            d, e = (0.0 - x) % 1.0, (c - x) % 1.0
+            if d <= SNAP or 1.0 - d <= SNAP or e <= SNAP or 1.0 - e <= SNAP:
+                x = norm1(x + 1e-9)
+            if 0.0 <= x < c:
+                y = q1 + (x / L1 + k1 * sin(TWO_PI * x / L1))
+            else:
+                t = x - c
+                y = q2 + (t / L2 + k2 * sin(TWO_PI * t / L2))
+            y -= floor(y)
+            x = 0.0 if y >= 1.0 else y
             yield x
 
     points = orbit(Random(h["seed"]).random())
@@ -479,7 +524,7 @@ def _degree_family(config: dict):
 # subcommands: each returns {file name: payload}, where a dict is a JSON report,
 # bytes are written as they are and any other payload is an iterable of
 # encoded blocks, written one at a time as they are made; ``main`` writes
-# them all
+# them all, in order, each to its end before the next
 
 
 def _word_from_config(config: dict) -> Word:
@@ -569,8 +614,10 @@ def cmd_conjugacy(config: dict) -> dict:
 
 
 def cmd_sweep(config: dict) -> dict:
-    _, _, csv_blocks, ppm = run_sweep(config)
-    return {"sweep.csv": csv_blocks, "sweep.ppm": ppm}
+    # the PPM blocks read the strata that the CSV blocks fill: main writes
+    # the payloads in this order, each to its end, which makes that correct
+    _, csv_blocks, ppm_blocks = run_sweep(config)
+    return {"sweep.csv": csv_blocks, "sweep.ppm": ppm_blocks}
 
 
 def cmd_path(config: dict) -> dict:

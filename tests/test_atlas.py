@@ -267,6 +267,28 @@ def test_classify_grid_on_path_matches_reference(path, theta1):
             [atlas.O_PP_LMINUS] * 10 + [atlas.HE1_AND_HE2] + [atlas.O_PP_LPLUS] * 10)
 
 
+def test_classify_grid_solves_each_distinct_value_once(monkeypatch):
+    # the README collision path holds beta fixed, so its 401 steps take 401
+    # p1 solves and one p2 solve (test_classify_grid_on_path_matches_reference
+    # checks its verdicts); repeated values in any order, and -0.0 beside
+    # 0.0, still read their own cell's solve
+    solves = []
+
+    def counting(model, branch):
+        solves.append(branch)
+        return branch_fixed_point(model, branch)
+
+    monkeypatch.setattr(atlas, "branch_fixed_point", counting)
+    (a0, b0), (a1, b1), steps = PATHS["collision"]
+    t = np.arange(steps, dtype=float) / (steps - 1)
+    classify_grid(ModelParams(a0, b0, theta1=0.19), a0 + (a1 - a0) * t, b0 + (b1 - b0) * t)
+    assert solves.count(1) == steps and solves.count(2) == 1
+    solves.clear()
+    values = [0.77, 0.21, 0.77, -0.0, 0.9, 0.21, 0.0, 0.77]
+    _grid_matches_classify(ModelParams(0.6, 0.3), values, values)
+    assert solves.count(1) == solves.count(2) == len(set(values))
+
+
 @pytest.mark.parametrize("c", [0.5, 0.45])
 def test_classify_grid_on_homoclinic_loci(c):
     # cusps on, and within or just outside SNAP of, the discontinuities 0, c-

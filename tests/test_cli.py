@@ -5,6 +5,7 @@ import json
 import math
 import tempfile
 import tracemalloc
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -63,9 +64,14 @@ def _sweep_rows(csv_bytes):
 
 
 def _run_sweep(cfg):
-    """cli.run_sweep with its CSV blocks joined into one document."""
-    strata, margins, csv_blocks, ppm = cli.run_sweep(cfg)
-    return strata, margins, b"".join(csv_blocks), ppm
+    """cli.run_sweep with its CSV blocks and then its PPM blocks joined into
+    one document each, in main's order; the margins are the CSV's, in the
+    shape of the strata."""
+    strata, csv_blocks, ppm_blocks = cli.run_sweep(cfg)
+    csv_bytes = b"".join(csv_blocks)
+    ppm = b"".join(ppm_blocks)
+    margins = np.array([float(r["margin"]) for r in _sweep_rows(csv_bytes)])
+    return strata, margins.reshape(strata.shape), csv_bytes, ppm
 
 
 def test_sweep_corners():
@@ -173,6 +179,60 @@ def test_sweep_emitters_match_row_wise_oracle(doc):
     assert ppm == want_ppm
 
 
+def _whole_grid_sweep(config):
+    """run_sweep's CSV and PPM documents as they were made before row
+    blocks: one classify_grid call on the whole grid, int64 strata and
+    float64 margins held for it, one palette lookup over every cell."""
+    sw = config["sweep"]
+    params = ModelParams(**config["model"])
+    nx, ny = sw["grid_nx"], sw["grid_ny"]
+    a_lo, a_hi = sw["alpha_range"]
+    b_lo, b_hi = sw["beta_range"]
+    alphas = a_lo + (a_hi - a_lo) * np.arange(nx, dtype=float) / (nx - 1)
+    betas = b_lo + (b_hi - b_lo) * np.arange(ny, dtype=float) / (ny - 1)
+    lambda_min = build_model(params).lambda_min
+    strata, margins, _, _ = atlas.classify_grid(params, alphas, betas[:, None])
+    lam = f"{lambda_min:.12g}"
+    row = [f"{a:.12g},%s,%s,%.12g,{lam}" for a in alphas.tolist()]
+    beta_texts = np.array([f"{b:.12g}" for b in betas.tolist()], dtype=object)
+    classes = np.array([f"{label},{atlas.STRATUM_DYNAMICS[label]}"
+                        for label in atlas.STRATA], dtype=object)
+    csv_blocks = cli._csv_blocks(["alpha", "beta", "stratum", "dynamics", "margin",
+                                  "lambda_min"],
+                                 row, [np.repeat(beta_texts, nx), classes[strata.ravel()],
+                                       margins.ravel()])
+    return strata, b"".join(csv_blocks), cli.render_raster(strata[::-1])
+
+
+@pytest.mark.parametrize("doc", [
+    {"sweep": {"grid_nx": 2, "grid_ny": 2}},
+    # a CSV block ends inside a grid row, and one classify block holds the grid
+    {"sweep": {"grid_nx": 300, "grid_ny": 7}},
+    # one grid row is more than a classify block and spans five CSV blocks
+    {"sweep": {"grid_nx": 5000, "grid_ny": 2}},
+    # 42-row classify blocks and a 4-row last one
+    {"model": {"c_minus": 0.45},
+     "sweep": {"grid_nx": 97, "grid_ny": 130,
+               "alpha_range": [-1.3, 2.1], "beta_range": [1.9, -0.4]}},
+    {},
+    {"model": {"theta1": 0.0, "theta2": 0.0}},
+], ids=["2x2", "300x7", "5000x2", "97x130-wrapped", "default", "default-symmetric"])
+def test_sweep_row_blocks_match_whole_grid_reference(doc):
+    cfg = load(doc)
+    strata, _, csv_bytes, ppm = _run_sweep(cfg)
+    want_strata, want_csv, want_ppm = _whole_grid_sweep(cfg)
+    assert csv_bytes == want_csv
+    assert ppm == want_ppm
+    assert strata.dtype == np.uint8 and np.array_equal(strata, want_strata)
+    labels = {atlas.STRATA[k] for k in strata.ravel().tolist()}
+    if not doc:
+        # the default [0, 1]^2 grid crosses the homoclinic bands and HE1
+        assert {atlas.H1P, atlas.H2P, atlas.H12P, atlas.HE1} <= labels
+    elif doc.get("model", {}).get("theta1") == 0.0:
+        # with theta1 = theta2 and c- = 1/2 the HE diagonal is degenerate
+        assert {atlas.H1P, atlas.H2P, atlas.H12P, atlas.DEGENERATE} <= labels
+
+
 def _csv_reference(header, lines, values):
     """The CSV emitter before row blocks: one %-fill of the whole table,
     from one template line per row and all cells in one flat sequence."""
@@ -220,9 +280,12 @@ def _emitter_inputs(kind, n, rng):
 
 
 _B = cli.CSV_BLOCK_ROWS
+_C = cli.SWEEP_BLOCK_CELLS
 
 
-@pytest.mark.parametrize("rows", [1, _B - 1, _B, _B + 1, 3 * _B + 7])
+# the edges of a CSV block and of a sweep's classify block of cells
+@pytest.mark.parametrize("rows", [1, _B - 1, _B, _B + 1, 3 * _B + 7,
+                                  _C - 1, _C, _C + 1, 3 * _C + 7])
 @pytest.mark.parametrize("kind", ["sweep", "path", "histogram", "conjugacy_pairs",
                                   "cloud"])
 def test_csv_blocks_match_one_pass_reference(kind, rows):
@@ -290,6 +353,18 @@ def test_csv_emission_holds_a_table_about_once(tmp_path):
     assert peaks[1] - peaks[0] <= 0.8 * (lengths[1] - lengths[0])
 
 
+def test_sweep_holds_one_byte_per_cell(tmp_path):
+    # the README 512^2 window: classifying in row blocks and holding only
+    # uint8 strata peaks at 0.72-0.80 MB, where the whole-grid classify_grid
+    # with int64 strata and float64 margins peaked at 16.85 MB; the bound
+    # leaves 1.56x headroom, and the strata alone are 0.26 MB
+    doc = {"sweep": {"grid_nx": 512, "grid_ny": 512,
+                     "alpha_range": [0.68, 0.82], "beta_range": [0.18, 0.32]}}
+    peak = _main_peak("sweep", doc, tmp_path)
+    assert (tmp_path / "sweep.csv").read_bytes().count(b"\n") == 512 * 512 + 1
+    assert peak <= 1_250_000
+
+
 def test_attractor_cloud_holds_no_float_image():
     # counting hits in an int64 raster and scaling it through a float64
     # image peaked at 3.78x the default cloud.csv, and bincount over three
@@ -325,6 +400,65 @@ def _histogram_reference(config):
         orbit[i] = x
     counts, edges = np.histogram(orbit[h["burn_in"]:], bins=h["bins"], range=(0.0, 1.0))
     return [[i, edges[i], edges[i + 1], int(c)] for i, c in enumerate(counts)]
+
+
+def _histogram_generator_reference(config):
+    """run_histogram's rows and CSV bytes with the orbit stepped through the
+    model's methods, ``on_discontinuity`` and then ``f``, one call each."""
+    h = config["histogram"]
+    model = cli._model(config)
+    f, on_discontinuity = model.f, model.on_discontinuity
+
+    def orbit(x):
+        while True:
+            x = f(x if on_discontinuity(x) is None else norm1(x + 1e-9))
+            yield x
+
+    points = orbit(cli.Random(h["seed"]).random())
+    for _ in islice(points, h["burn_in"]):
+        pass
+    n, counts = h["orbit_length"], np.zeros(h["bins"], dtype=np.int64)
+    for lo in range(0, n, cli.HISTOGRAM_CHUNK):
+        chunk = np.fromiter(points, float, count=min(cli.HISTOGRAM_CHUNK, n - lo))
+        chunk_counts, edges = np.histogram(chunk, bins=h["bins"], range=(0.0, 1.0))
+        counts += chunk_counts
+    rows = [[i, edges[i], edges[i + 1], int(c)] for i, c in enumerate(counts)]
+    return rows, _csv_reference(["bin", "lo", "hi", "count"],
+                                ["%d,%.12g,%.12g,%d"] * h["bins"],
+                                [v for row in rows for v in row])
+
+
+class _FixedStart:
+    """A stand-in for random.Random whose one draw is a given start."""
+
+    def __init__(self, x):
+        self.x = x
+
+    def random(self):
+        return self.x
+
+
+@pytest.mark.parametrize("model,start", [
+    ({}, None),
+    # c- != 1/2 with a wavy second branch
+    ({"c_minus": 0.45, "theta1": 0.1, "theta2": 0.08}, None),
+    ({"c_minus": 0.45, "theta1": 0.1, "theta2": 0.08, "alpha": 0.77, "beta": 0.21}, None),
+    # starts on c- and on c+, so the 1e-9 nudge runs
+    ({"c_minus": 0.45, "theta2": 0.08}, 0.45),
+    ({"c_minus": 0.45, "theta2": 0.08}, 0.0),
+    ({}, 0.5),
+], ids=["default", "c045", "c045-lminus", "start-c-minus", "start-c-plus", "start-half"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_histogram_step_matches_method_reference(model, start, seed, monkeypatch):
+    cfg = load(model=model, histogram={"orbit_length": 20_000, "burn_in": 50,
+                                       "bins": 512, "seed": seed})
+    if start is not None:
+        monkeypatch.setattr(cli, "Random", lambda seed: _FixedStart(start))
+        assert cli._model(cfg).on_discontinuity(start) is not None
+    want_rows, want_csv = _histogram_generator_reference(cfg)
+    rows, csv_blocks = cli.run_histogram(cfg)
+    assert rows == want_rows
+    assert b"".join(csv_blocks) == want_csv
 
 
 @pytest.mark.parametrize("bins", [1000, 1023])
