@@ -164,52 +164,130 @@ class CloudResult(NamedTuple):
     raster: np.ndarray          # (height, width) uint8 hit image
 
 
-def attractor_cloud(skew: SkewModel, depth: int, samples: int,
-                    burn_in: int = 50, seed: int = 7,
-                    seed_arc: Arc | None = None,
-                    width: int = 512, height: int = 256) -> CloudResult:
-    """Orbit-cloud approximation of the attractor.
+# lanes per in-place step of the cloud's state: a step's temporaries are this
+# many lanes wide, whatever the cloud's size (8,192 was measured).  A slice
+# steps to the bits of the whole array, as every operation of the step is
+# elementwise and np.sin equals math.sin on the step's arguments, which a
+# test checks
+CLOUD_LANES = 8192
+
+
+def cloud_blocks(skew: SkewModel, depth: int, samples: int, burn_in: int = 50,
+                 seed: int = 7, seed_arc: Arc | None = None):
+    """The kept points of an orbit cloud, as (x, y) blocks in row order.
 
     Seeds are iterated through the burn-in, then the next ``depth`` images of
-    every seed are collected; fiber thickness at depth n shrinks like kappa^n.
+    every seed are kept; fiber thickness at depth n shrinks like kappa^n.
+    Rows run step by step, samples in order within a step.  The seeds are
+    drawn here and the returned generator steps them in place, CLOUD_LANES
+    at a time; each block it yields is a view of that state, overwritten a
+    step later, so read it before asking for the next one.
     """
     if depth > 16:
         raise PreconditionError("depth must stay at or below 16 (2^n pieces)")
     # 2 x samples uniforms, the x draws then the y draws, from the stdlib
     # generator, whose random() sequence for an int seed Python keeps across
-    # versions.  fromiter allocates them all before it reads the endless
-    # iterator, so a size that cannot be allocated fails before any draw
-    u = np.fromiter(iter(Random(seed).random, None), float, count=2 * samples)
-    x, y = u[:samples], -0.95 + 1.9 * u[samples:]
+    # versions, straight into the state.  fromiter allocates it before it
+    # reads the endless iterator, so a size that cannot be allocated fails
+    # before any draw
+    state = np.fromiter(iter(Random(seed).random, None), float, count=2 * samples)
+    x, y = state[:samples], state[samples:]
+    y *= 1.9
+    y -= 0.95
     if seed_arc is not None:
-        x = np.mod(seed_arc.start + seed_arc.length * x, 1.0)
-    # the burn-in steps all write row 0, which the first kept step overwrites;
+        x *= seed_arc.length
+        x += seed_arc.start
+        np.mod(x, 1.0, out=x)
+
+    def steps():
+        for i in range(burn_in + max(depth, 1)):
+            for lo in range(0, samples, CLOUD_LANES):
+                bx, by = x[lo:lo + CLOUD_LANES], y[lo:lo + CLOUD_LANES]
+                bx[:], by[:] = apply_skew_np(skew, _cross_discontinuity(skew.base, bx), by)
+                if i >= burn_in:
+                    yield bx, by
+
+    return steps()
+
+
+class CloudHits:
+    """Hits of cloud points on a (height, width) raster, counted one block
+    at a time into a 4-byte counter, which holds 2^31 - 1 hits; the CLI's
+    cap on planned steps keeps a cloud below 10^7 points."""
+
+    def __init__(self, width: int, height: int):
+        self.width, self.height = width, height
+        self.hits = np.zeros(height * width, dtype=np.int32)
+
+    def add(self, x, y) -> None:
+        cols = np.clip((x * self.width).astype(int), 0, self.width - 1)
+        rows = np.clip(((1.0 - (y + 1.0) / 2.0) * self.height).astype(int),
+                       0, self.height - 1)
+        np.add.at(self.hits, rows * self.width + cols, 1)
+
+    def raster(self) -> np.ndarray:
+        """The uint8 image: a pixel with k hits shows 255.0 * k / peak, read
+        from a table of those values for k = 0..peak, so no float image is
+        held."""
+        peak = max(int(self.hits.max()), 1)
+        shade = (255.0 * np.arange(peak + 1) / peak).astype(np.uint8)
+        return shade[self.hits].reshape(self.height, self.width)
+
+
+def attractor_cloud(skew: SkewModel, depth: int, samples: int,
+                    burn_in: int = 50, seed: int = 7,
+                    seed_arc: Arc | None = None,
+                    width: int = 512, height: int = 256) -> CloudResult:
+    """Orbit-cloud approximation of the attractor: every kept point of
+    ``cloud_blocks`` in one (n, 2) array, with its ``CloudHits`` raster."""
+    blocks = cloud_blocks(skew, depth, samples, burn_in, seed, seed_arc)
     # the points are a transposed view of this buffer, not a copy
-    orbit = np.empty((2, max(depth, 1), samples))
-    px, py = orbit
-    for i in range(burn_in + len(px)):
-        x, y = apply_skew_np(skew, _cross_discontinuity(skew.base, x), y)
-        px[max(i - burn_in, 0)], py[max(i - burn_in, 0)] = x, y
-    # hits are counted one kept row of samples at a time into a 4-byte
-    # counter, which holds 2^31 - 1 hits; the CLI's cap on planned steps
-    # keeps a cloud below 10^7 points
-    hits = np.zeros(height * width, dtype=np.int32)
-    for row_x, row_y in zip(px, py):
-        cols = np.clip((row_x * width).astype(int), 0, width - 1)
-        rows = np.clip(((1.0 - (row_y + 1.0) / 2.0) * height).astype(int), 0, height - 1)
-        np.add.at(hits, rows * width + cols, 1)
-    # a pixel with k hits shows 255.0 * k / peak, read from a table of those
-    # values for k = 0..peak, so no float image is held
-    peak = max(int(hits.max()), 1)
-    shade = (255.0 * np.arange(peak + 1) / peak).astype(np.uint8)
-    return CloudResult(points=orbit.reshape(2, -1).T,
-                       raster=shade[hits].reshape(height, width))
+    orbit = np.empty((2, max(depth, 1) * samples))
+    hits = CloudHits(width, height)
+    at = 0
+    for x, y in blocks:
+        orbit[0, at:at + len(x)], orbit[1, at:at + len(x)] = x, y
+        hits.add(x, y)
+        at += len(x)
+    return CloudResult(points=orbit.T, raster=hits.raster())
 
 
 # buckets of width 1/LEAF_BUCKETS for leaf_span_2d's x extremes, and the
 # points whose x it buckets per pass
 LEAF_BUCKETS = 1024
 LEAF_BLOCK = 8192
+
+
+class LeafBuckets:
+    """The least and greatest x, rounded to 12 digits, of each bucket
+    [k, k + 1) / 1024 met by the blocks of x added so far; ``span`` reads
+    ``leaf_span_2d``'s arc from them."""
+
+    def __init__(self):
+        self.lo = np.full(LEAF_BUCKETS + 1, np.inf)     # x rounded to 1.0 is bucket 1024
+        self.hi = np.full(LEAF_BUCKETS + 1, -np.inf)
+
+    def add(self, x) -> None:
+        xs = np.round(x, 12)
+        bucket = (xs * LEAF_BUCKETS).astype(np.intp)
+        np.minimum.at(self.lo, bucket, xs)
+        np.maximum.at(self.hi, bucket, xs)
+
+    def span(self) -> Arc:
+        met = self.lo <= self.hi
+        lo, hi = self.lo[met], self.hi[met]
+        if lo.size == 0 or hi[-1] == lo[0]:             # fewer than two values
+            return Arc.full_circle()
+        gaps = lo[1:] - hi[:-1]
+        wrap = (1.0 - hi[-1]) + lo[0]
+        if gaps.size == 0 or wrap >= gaps.max():
+            gap_lo, gap_hi, gap_len = hi[-1], lo[0], wrap
+        else:
+            i = int(np.argmax(gaps))
+            gap_lo, gap_hi, gap_len = hi[i], lo[i + 1], gaps[i]
+        if gap_len < 1e-3:
+            return Arc.full_circle()
+        return Arc(norm1(gap_hi), norm1(gap_lo))
 
 
 def leaf_span_2d(points: np.ndarray) -> Arc:
@@ -220,32 +298,16 @@ def leaf_span_2d(points: np.ndarray) -> Arc:
     x-coordinates rounded to 12 digits; a full circle is reported when no
     gap reaches the resolution 1e-3.
 
-    Only the least and greatest x of each bucket [k, k + 1) / 1024 are kept.
-    A bucket is narrower than 1e-3 and x * 1024 is exact, so every gap of
-    1e-3 or more lies between consecutive met buckets, between the same two
-    values that a sort of all x would put side by side.
+    Only the least and greatest x of each bucket [k, k + 1) / 1024 are kept
+    (``LeafBuckets``).  A bucket is narrower than 1e-3 and x * 1024 is
+    exact, so every gap of 1e-3 or more lies between consecutive met
+    buckets, between the same two values that a sort of all x would put side
+    by side.
     """
-    lo = np.full(LEAF_BUCKETS + 1, np.inf)          # x rounded to 1.0 is bucket 1024
-    hi = np.full(LEAF_BUCKETS + 1, -np.inf)
+    leaf = LeafBuckets()
     for start in range(0, len(points), LEAF_BLOCK):
-        xs = np.round(points[start:start + LEAF_BLOCK, 0], 12)
-        bucket = (xs * LEAF_BUCKETS).astype(np.intp)
-        np.minimum.at(lo, bucket, xs)
-        np.maximum.at(hi, bucket, xs)
-    met = lo <= hi
-    lo, hi = lo[met], hi[met]
-    if lo.size == 0 or hi[-1] == lo[0]:             # fewer than two values
-        return Arc.full_circle()
-    gaps = lo[1:] - hi[:-1]
-    wrap = (1.0 - hi[-1]) + lo[0]
-    if gaps.size == 0 or wrap >= gaps.max():
-        gap_lo, gap_hi, gap_len = hi[-1], lo[0], wrap
-    else:
-        i = int(np.argmax(gaps))
-        gap_lo, gap_hi, gap_len = hi[i], lo[i + 1], gaps[i]
-    if gap_len < 1e-3:
-        return Arc.full_circle()
-    return Arc(norm1(gap_hi), norm1(gap_lo))
+        leaf.add(points[start:start + LEAF_BLOCK, 0])
+    return leaf.span()
 
 
 # --- essential-family degree ----------------------------------------------

@@ -95,10 +95,12 @@ def solve_axis(params: ModelParams, values, branch: int):
     values = np.asarray(values, dtype=float)
     distinct, inverse = np.unique(values, return_inverse=True)
     key = "alpha" if branch == 1 else "beta"
-    models = (build_model(params._replace(**{key: v})) for v in distinct.tolist())
-    # a missing fixed point (None) becomes NaN; only the ++ cases read p_i
-    q, p = np.array([(m.q1 if branch == 1 else m.q2, branch_fixed_point(m, branch))
-                     for m in models], dtype=float).reshape(-1, 2).T
+    q, p = np.empty(distinct.size), np.empty(distinct.size)
+    for i, v in enumerate(distinct.tolist()):
+        m = build_model(params._replace(**{key: v}))
+        fixed = branch_fixed_point(m, branch)
+        # a missing fixed point becomes NaN; only the ++ cases read p_i
+        q[i], p[i] = m.q1 if branch == 1 else m.q2, math.nan if fixed is None else fixed
     inverse = inverse.reshape(values.shape)
     return q[inverse], p[inverse]
 

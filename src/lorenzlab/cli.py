@@ -25,10 +25,12 @@ import numpy as np
 
 from . import atlas
 from .annulus import (
-    attractor_cloud,
+    CloudHits,
+    LeafBuckets,
+    attractor_cloud,    # cloud_blocks' whole-cloud form; the cap tests patch it here
     build_skew,
+    cloud_blocks,
     family_degree,
-    leaf_span_2d,
     verify_cones,
 )
 from .atlas import attractor_span, classify, classify_grid, region_verdicts
@@ -522,9 +524,10 @@ def _degree_family(config: dict):
 
 # ---------------------------------------------------------------------------
 # subcommands: each returns {file name: payload}, where a dict is a JSON report,
-# bytes are written as they are and any other payload is an iterable of
-# encoded blocks, written one at a time as they are made; ``main`` writes
-# them all, in order, each to its end before the next
+# bytes are written as they are, a callable returns one of those when main
+# reaches it, and any other payload is an iterable of encoded blocks, written
+# one at a time as they are made; ``main`` writes them all, in order, each to
+# its end before the next
 
 
 def _word_from_config(config: dict) -> Word:
@@ -631,16 +634,31 @@ def cmd_histogram(config: dict) -> dict:
 
 
 def cmd_attractor2d(config: dict) -> dict:
-    if config["cloud"]["width"] * config["cloud"]["height"] > MAX_INT:
+    cloud = config["cloud"]
+    if cloud["width"] * cloud["height"] > MAX_INT:
         raise ValidationError("cloud.height", f"width x height must not exceed {MAX_INT}")
     skew = build_skew(_model(config), **config["skew"])
-    cloud = attractor_cloud(skew, **config["cloud"])
-    points = cloud.points
+    blocks = cloud_blocks(skew, cloud["depth"], cloud["samples"], cloud["burn_in"],
+                          cloud["seed"])
+    hits, leaf = CloudHits(cloud["width"], cloud["height"]), LeafBuckets()
+
+    def csv_blocks():
+        header = ["x", "y"]
+        for x, y in blocks:
+            hits.add(x, y)
+            leaf.add(x)
+            yield from _csv_blocks(header, ["%.12g,%.12g"], [x, y])
+            header = None
+
+    # no cloud is held whole: each kept block is counted and bucketed as its
+    # CSV rows are formatted, and the raster and the leaf span read those
+    # counts.  main writes the payloads in this order, each to its end, and
+    # calls the last two when it reaches them, after cloud.csv, as the
+    # sweep's PPM reads the strata its CSV fills
     return {
-        "cloud.csv": _csv_blocks(["x", "y"], ["%.12g,%.12g"],
-                                 [points[:, 0], points[:, 1]]),
-        "cloud.pgm": render_pgm(cloud.raster),
-        "attractor2d.json": {"leaf_span": leaf_span_2d(points)},
+        "cloud.csv": csv_blocks(),
+        "cloud.pgm": lambda: render_pgm(hits.raster()),
+        "attractor2d.json": lambda: {"leaf_span": leaf.span()},
     }
 
 
@@ -691,6 +709,8 @@ def main(argv=None) -> int:
         _check_planned_steps(args.command, config)
         args.out.mkdir(parents=True, exist_ok=True)
         for name, payload in COMMANDS[args.command](config).items():
+            if callable(payload):
+                payload = payload()
             if isinstance(payload, dict):
                 payload = _json_report(payload, config)
             with open(args.out / name, "wb") as fh:

@@ -1,14 +1,21 @@
+import math
+from random import Random
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from lorenzlab import annulus
 from lorenzlab.annulus import (
+    CLOUD_LANES,
     SkewModel,
     _cocycle,
+    _cross_discontinuity,
     apply_skew,
     apply_skew_np,
     attractor_cloud,
     build_skew,
+    cloud_blocks,
     family_degree,
     leaf_span_2d,
     verify_cones,
@@ -16,7 +23,16 @@ from lorenzlab.annulus import (
 from lorenzlab.atlas import attractor_span
 from lorenzlab.circle import Arc, circle_dist, norm1
 from lorenzlab.errors import ConeBoundViolated, OnDiscontinuity, PreconditionError, TrackingLost
-from lorenzlab.maps import SNAP, BranchProfile, MapModel, ModelParams, SignedPoint, build_model
+from lorenzlab.maps import (
+    SNAP,
+    TWO_PI,
+    BranchProfile,
+    MapModel,
+    ModelParams,
+    SignedPoint,
+    branch_lanes,
+    build_model,
+)
 from lorenzlab.symbolic import itinerary
 
 
@@ -337,6 +353,90 @@ def test_cloud_raster_matches_bincount_reference(kw):
     want = _raster_bincount(cloud.points, args["width"], args["height"])
     assert cloud.raster.dtype == np.uint8
     assert np.array_equal(cloud.raster, want)
+
+
+def _whole_cloud(skew, depth, samples, burn_in=50, seed=7, seed_arc=None,
+                 width=512, height=256):
+    """attractor_cloud's (points, raster) as they were computed: every
+    sample stepped at once, the kept points held in one (2, depth, samples)
+    buffer, hits counted one kept row of samples at a time."""
+    u = np.fromiter(iter(Random(seed).random, None), float, count=2 * samples)
+    x, y = u[:samples], -0.95 + 1.9 * u[samples:]
+    if seed_arc is not None:
+        x = np.mod(seed_arc.start + seed_arc.length * x, 1.0)
+    orbit = np.empty((2, max(depth, 1), samples))
+    px, py = orbit
+    for i in range(burn_in + len(px)):
+        x, y = apply_skew_np(skew, _cross_discontinuity(skew.base, x), y)
+        px[max(i - burn_in, 0)], py[max(i - burn_in, 0)] = x, y
+    hits = np.zeros(height * width, dtype=np.int32)
+    for row_x, row_y in zip(px, py):
+        cols = np.clip((row_x * width).astype(int), 0, width - 1)
+        rows = np.clip(((1.0 - (row_y + 1.0) / 2.0) * height).astype(int), 0, height - 1)
+        np.add.at(hits, rows * width + cols, 1)
+    peak = max(int(hits.max()), 1)
+    shade = (255.0 * np.arange(peak + 1) / peak).astype(np.uint8)
+    return orbit.reshape(2, -1).T, shade[hits].reshape(height, width)
+
+
+# c- = 0.45 with theta2 = 0.08 and a raised spine on branch 1
+SK_SKEWED = build_skew(M(0.6, 0.3, c_minus=0.45, theta2=0.08), 0.2, eta1=0.3)
+
+
+# lane-block edges, one kept step without burn-in, seed arcs and a model
+# whose branches differ in length, profile and spine
+@pytest.mark.parametrize("skew,kw", [
+    (SK, {"samples": CLOUD_LANES - 1}),
+    (SK, {"samples": CLOUD_LANES + 1, "seed_arc": Arc(0.707, 0.72)}),
+    (SK, {"samples": 3 * CLOUD_LANES - 5, "seed": 3}),
+    (SK, {"samples": 3 * CLOUD_LANES - 5, "seed_arc": Arc(0.9, 0.2)}),
+    (SK, {"samples": 5000, "depth": 1, "burn_in": 0}),
+    (SK_SKEWED, {"samples": CLOUD_LANES + 1}),
+    (SK_SKEWED, {"samples": 700, "seed_arc": Arc(0.4, 0.5), "width": 37, "height": 11}),
+])
+def test_attractor_cloud_matches_whole_cloud_reference(skew, kw):
+    args = {"depth": 2, "burn_in": 3, **kw}
+    cloud = attractor_cloud(skew, **args)
+    points, raster = _whole_cloud(skew, **args)
+    assert np.array_equal(cloud.points, points)
+    assert np.array_equal(cloud.raster, raster)
+    # the stream yields the same rows in the same order, one lane block of
+    # one kept step at a time
+    stream = {k: v for k, v in args.items() if k not in ("width", "height")}
+    blocks = list(cloud_blocks(skew, **stream))
+    assert [len(x) for x, _ in blocks] == [
+        min(CLOUD_LANES, args["samples"] - lo)
+        for _ in range(max(args["depth"], 1))
+        for lo in range(0, args["samples"], CLOUD_LANES)]
+
+
+def test_np_sin_matches_math_sin_on_cloud_step_arguments(monkeypatch):
+    # cloud_blocks steps its state CLOUD_LANES lanes at a time.  That gives
+    # the bits of a step of the whole array only while no lane's result
+    # depends on its place in the array.  Every operation of the step is
+    # elementwise and exact but np.sin, on the pinch argument pi t / L and the
+    # profile argument 2 pi t / L, so record the steps' inputs on two models
+    # and check that np.sin equals math.sin there, also on slices that start
+    # at odd places, so a platform that breaks the premise fails here
+    inputs = []
+
+    def recording(skew, x, y):
+        inputs.append((skew.base, x.copy()))
+        return apply_skew_np(skew, x, y)
+
+    monkeypatch.setattr(annulus, "apply_skew_np", recording)
+    for skew in (SK, SK_SKEWED):
+        for _ in cloud_blocks(skew, depth=12, samples=2000, burn_in=60):
+            pass
+    assert len(inputs) == 2 * 72
+    for base, x in inputs:
+        _, start, profile = branch_lanes(base, x >= base.c_minus)
+        t = x - start
+        for arg in (np.pi * t / profile.length, TWO_PI * t / profile.length):
+            lanes = np.sin(arg)
+            assert lanes.tolist() == [math.sin(a) for a in arg.tolist()]
+            for lo in (1, 3, 7):
+                assert np.array_equal(np.sin(arg[lo:]), lanes[lo:])
 
 
 def test_family_degree():

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lorenzlab import atlas, cli
-from lorenzlab.annulus import attractor_cloud, build_skew
+from lorenzlab.annulus import CLOUD_LANES, attractor_cloud, build_skew
 from lorenzlab.circle import norm1
 from lorenzlab.errors import (
     KneadingRecursionViolated,
@@ -376,6 +376,20 @@ def test_attractor_cloud_holds_no_float_image():
     skew = build_skew(cli._model(cfg), **cfg["skew"])
     _, peak = _python_peak(lambda: attractor_cloud(skew, **cfg["cloud"]))
     assert peak <= 1.75 * csv_length
+
+
+def test_cloud_peak_grows_by_its_state(tmp_path):
+    # the cloud's state is 16 bytes per sample, stepped in place CLOUD_LANES
+    # lanes at a time, and each kept block is formatted, counted and bucketed
+    # as it is made: from 4,000 to 40,000 samples the Python peak of main
+    # grows by 27-30 bytes per added sample (the rest is the step's
+    # temporaries, 4,000 and then 8,192 lanes wide).  Holding the whole
+    # (2, depth, samples) orbit grew it by 295-310; the bound of 48 leaves
+    # 1.6x headroom
+    peaks = [_main_peak("attractor2d", {"cloud": {"samples": samples}}, tmp_path)
+             for samples in (4000, 40_000)]
+    assert (tmp_path / "cloud.csv").read_bytes().count(b"\n") == 12 * 40_000 + 1
+    assert peaks[1] - peaks[0] <= 48 * (40_000 - 4000)
 
 
 def test_histogram_holds_no_orbit():
@@ -825,6 +839,45 @@ def test_cmd_attractor2d_outputs(tmp_path):
     pgm = (tmp_path / "cloud.pgm").read_bytes()
     assert pgm.startswith(b"P5\n64 32\n255\n")
     assert len(pgm) == len(b"P5\n64 32\n255\n") + 64 * 32
+
+
+# seeds 1-3, lane-block edges, one kept step without burn-in, a model whose
+# branches differ in length, profile and spine, and an up-Lorenz model whose
+# leaf span is a proper arc
+@pytest.mark.parametrize("doc", [
+    {"cloud": {"seed": 1}},
+    {"cloud": {"seed": 2}},
+    {"cloud": {"seed": 3}},
+    {"cloud": {"samples": CLOUD_LANES - 1, "depth": 2, "burn_in": 3}},
+    {"cloud": {"samples": CLOUD_LANES + 1, "depth": 2, "burn_in": 3}},
+    {"cloud": {"samples": 3 * CLOUD_LANES - 5, "depth": 2, "burn_in": 3}},
+    {"cloud": {"samples": 5000, "depth": 1, "burn_in": 0}},
+    {"model": {"c_minus": 0.45, "theta2": 0.08}, "skew": {"eta1": 0.3},
+     "cloud": {"width": 64, "height": 48}},
+    {"model": {"alpha": 0.707, "beta": 0.3}, "cloud": {"samples": 1000, "burn_in": 400}},
+])
+def test_attractor2d_matches_whole_cloud_reference(doc, tmp_path):
+    # the outputs as they were made: the whole cloud from the body
+    # attractor_cloud had, its CSV in one pass, the raster through
+    # render_pgm and the leaf span from one np.unique over every x
+    from test_annulus import _leaf_span_unique, _whole_cloud
+    cfg = load(doc)
+    (tmp_path / "cfg.json").write_text(json.dumps(doc))
+    assert cli.main(["attractor2d", "--config", str(tmp_path / "cfg.json"),
+                     "--out", str(tmp_path)]) == 0
+    points, raster = _whole_cloud(build_skew(cli._model(cfg), **cfg["skew"]),
+                                  **cfg["cloud"])
+    want = {
+        "cloud.csv": _csv_reference(["x", "y"], ["%.12g,%.12g"] * len(points),
+                                    points.ravel().tolist()),
+        "cloud.pgm": cli.render_pgm(raster),
+        "attractor2d.json": cli._json_report({"leaf_span": _leaf_span_unique(points)},
+                                             cfg),
+    }
+    for name, data in want.items():
+        assert (tmp_path / name).read_bytes() == data, name
+    if doc.get("model", {}).get("alpha") == 0.707:
+        assert not json.loads(want["attractor2d.json"])["leaf_span"]["full"]
 
 
 def test_cmd_degree(tmp_path):
