@@ -107,8 +107,21 @@ def solve_axis(params: ModelParams, values, branch: int):
 
 def classify_cells(params: ModelParams, q1, p1, q2, p2):
     """Stratum index into STRATA and margin of the cells whose cusps and
-    fixed points are given, broadcast against each other; ``classify_grid``
-    states the rule."""
+    fixed points are given, broadcast against each other.
+
+    The rule, first match wins: a cusp within SNAP of a discontinuity is
+    homoclinic (H12 when both cusps sit on the same one, else H1 before H2).
+    Otherwise the fixed points decide the quadrant, and in the doubly-fixed
+    quadrant the heteroclinic loci HE1 {q1 = p2} and HE2 {q2 = p1} (a cusp
+    within SNAP of the other branch's fixed point) come next.  These two
+    collision curves cut the rest of the quadrant in three: L+ where both
+    cusps lie in sigma+ = (p2, p1), that is q1 > p2 and q2 < p1, L- where
+    neither does, and tilde otherwise.  The margin is the least
+    cusp-to-discontinuity distance, and off the homoclinic loci in the
+    doubly-fixed quadrant also the least heteroclinic distance.  SNAP is also
+    the distance at which ``maps.fixed_points`` refuses a homoclinic cusp, so
+    that refusal is never reached from here.
+    """
     c = params.c_minus
     d1p, d1m = circle_dist_np(q1, 0.0), circle_dist_np(q1, c)
     d2p, d2m = circle_dist_np(q2, 0.0), circle_dist_np(q2, c)
@@ -142,43 +155,20 @@ def classify_cells(params: ModelParams, q1, p1, q2, p2):
     return stratum, np.where(plus1 & plus2 & ~on_h, pp_margin, h_margin)
 
 
-def classify_grid(params: ModelParams, alphas, betas):
-    """Stratum label, margin to the nearest stratum and fixed points of the
-    models at (alphas, betas), broadcast against each other.
+def region_verdicts(params: ModelParams, alphas, betas) -> list[RegionVerdict]:
+    """The RegionVerdict of the models at (alphas, betas), broadcast against
+    each other, in row-major order: ``classify_cells`` on the two
+    ``solve_axis`` results.
 
-    A row of alphas and a column of betas give a sweep grid; two vectors of
-    equal length give a path.  Returns (stratum, margin, p1, p2), float64
-    arrays of the broadcast shape except stratum, which holds indices into
-    STRATA; a missing fixed point is NaN.  It is ``classify_cells`` on the
-    two ``solve_axis`` results.
-
-    The rule, first match wins: a cusp within SNAP of a discontinuity is
-    homoclinic (H12 when both cusps sit on the same one, else H1 before H2).
-    Otherwise the fixed points decide the quadrant, and in the doubly-fixed
-    quadrant the heteroclinic loci HE1 {q1 = p2} and HE2 {q2 = p1} (a cusp
-    within SNAP of the other branch's fixed point) come next.  These two
-    collision curves cut the rest of the quadrant in three: L+ where both
-    cusps lie in sigma+ = (p2, p1), that is q1 > p2 and q2 < p1, L- where
-    neither does, and tilde otherwise.  The margin is the least
-    cusp-to-discontinuity distance, and off the homoclinic loci in the
-    doubly-fixed quadrant also the least heteroclinic distance.  SNAP is also
-    the distance at which ``maps.fixed_points`` refuses a homoclinic cusp, so
-    that refusal is never reached from here.
-    """
-    q1, p1 = solve_axis(params, alphas, 1)
-    q2, p2 = solve_axis(params, betas, 2)
-    stratum, margin = classify_cells(params, q1, p1, q2, p2)
-    return (stratum, margin, np.broadcast_to(p1, stratum.shape),
-            np.broadcast_to(p2, stratum.shape))
-
-
-def region_verdicts(grid) -> list[RegionVerdict]:
-    """The RegionVerdict of every cell of a ``classify_grid`` result, in
-    row-major order.  Homoclinic cells carry no fixed points, the other
+    A row of alphas and a column of betas give a grid; two vectors of equal
+    length give a path.  Homoclinic cells carry no fixed points, the other
     two-sided quadrants carry p1 and p2 (None where missing), and the ++
     cells also carry sigma+ = (p2, p1) and sigma- = (p1, p2)."""
+    q1, p1 = solve_axis(params, alphas, 1)
+    q2, p2 = solve_axis(params, betas, 2)
+    cells = np.broadcast_arrays(*classify_cells(params, q1, p1, q2, p2), p1, p2)
     verdicts = []
-    for k, margin, p1, p2 in zip(*(a.ravel().tolist() for a in grid)):
+    for k, margin, p1, p2 in zip(*(a.ravel().tolist() for a in cells)):
         label = STRATA[k]
         fixed = sigma = ()
         if label not in HOMOCLINIC:
@@ -192,9 +182,9 @@ def region_verdicts(grid) -> list[RegionVerdict]:
 
 def classify(model: MapModel) -> RegionVerdict:
     """Stratum label, dynamical verdict, margin to the nearest stratum and
-    fixed points of one model: ``classify_grid`` on its one cell."""
+    fixed points of one model: ``region_verdicts`` on its one cell."""
     p = model.params
-    return region_verdicts(classify_grid(p, p.alpha, p.beta))[0]
+    return region_verdicts(p, p.alpha, p.beta)[0]
 
 
 class GoldenBound(NamedTuple):

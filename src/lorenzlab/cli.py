@@ -17,7 +17,7 @@ import copy
 import json
 import math
 import sys
-from itertools import cycle, islice
+from itertools import islice
 from pathlib import Path
 from random import Random
 
@@ -27,13 +27,12 @@ from . import atlas
 from .annulus import (
     CloudHits,
     LeafBuckets,
-    attractor_cloud,    # cloud_blocks' whole-cloud form; the cap tests patch it here
     build_skew,
     cloud_blocks,
     family_degree,
     verify_cones,
 )
-from .atlas import attractor_span, classify, classify_grid, region_verdicts
+from .atlas import attractor_span, classify, region_verdicts
 from .circle import Arc, norm1
 from .errors import (
     BudgetError,
@@ -319,29 +318,27 @@ def render_pgm(img: np.ndarray) -> bytes:
 CSV_BLOCK_ROWS = 1024
 
 
-def _csv(header: list[str] | None, lines, columns) -> bytes:
+def _csv(header: list[str] | None, line: str, columns) -> bytes:
     """One encoded block of CSV rows, after the header line when one is given.
 
-    Row k fills line ``lines[k % len(lines)]`` from ``columns[i][k]`` in
-    column order: floats as %.12g, bools and counts as %d.  A column is a
-    list, tuple or numpy array with one value per row.
+    Row k fills the template ``line`` from ``columns[i][k]`` in column order:
+    floats as %.12g, bools and counts as %d, text as %s.  A column is a list,
+    tuple or numpy array with one value per row.
     """
     rows, width = len(columns[0]), len(columns)
     cells = [None] * (width * rows)
     for i, column in enumerate(columns):
         cells[i::width] = column.tolist() if isinstance(column, np.ndarray) else column
     head = f"{','.join(header)}\n" if header else ""
-    return (head + "\n".join(islice(cycle(lines), rows)) % tuple(cells) + "\n").encode()
+    return (head + (line + "\n") * rows % tuple(cells)).encode()
 
 
-def _csv_blocks(header: list[str] | None, lines, columns):
+def _csv_blocks(header: list[str] | None, line: str, columns):
     """The CSV document of ``_csv``'s arguments as encoded blocks of
-    CSV_BLOCK_ROWS rows, the header in the first.  Row k still fills
-    ``lines[k % len(lines)]``, whatever the block length."""
-    line = cycle(lines)
+    CSV_BLOCK_ROWS rows, the header in the first."""
     for lo in range(0, len(columns[0]), CSV_BLOCK_ROWS):
-        block = [column[lo:lo + CSV_BLOCK_ROWS] for column in columns]
-        yield _csv(header if lo == 0 else None, list(islice(line, len(block[0]))), block)
+        yield _csv(header if lo == 0 else None, line,
+                   [column[lo:lo + CSV_BLOCK_ROWS] for column in columns])
 
 
 def _arc_json(arc):
@@ -397,12 +394,13 @@ def run_sweep(config: dict):
     q2, p2 = atlas.solve_axis(params, betas[:, None], 2)
     strata = np.empty((ny, nx), dtype=np.uint8)
     block_rows = max(1, SWEEP_BLOCK_CELLS // nx)
-    # alpha and lambda_min are formatted into the row template once, beta once
-    # per grid row, stratum,dynamics once per stratum, the margin per cell;
-    # the text columns are object arrays of references to those strings
-    lam = f"{lambda_min:.12g}"
-    row = [f"{a:.12g},%s,%s,%.12g,{lam}" for a in alphas.tolist()]
-    beta_texts = np.array([f"{b:.12g}" for b in betas.tolist()], dtype=object)
+    # lambda_min is formatted into the row template once, alpha once per grid
+    # column, beta once per grid row, stratum,dynamics once per stratum, the
+    # margin per cell; the text columns are object arrays of references to
+    # those strings
+    line = f"%s,%s,%s,%.12g,{lambda_min:.12g}"
+    alpha_texts, beta_texts = (np.array([f"{v:.12g}" for v in axis.tolist()], dtype=object)
+                               for axis in (alphas, betas))
     classes = np.array([f"{label},{atlas.STRATUM_DYNAMICS[label]}"
                         for label in atlas.STRATA], dtype=object)
 
@@ -412,8 +410,9 @@ def run_sweep(config: dict):
             hi = lo + block_rows
             block, margins = atlas.classify_cells(params, q1, p1, q2[lo:hi], p2[lo:hi])
             strata[lo:hi] = block
-            yield from _csv_blocks(header if lo == 0 else None, row,
-                                   [np.repeat(beta_texts[lo:hi], nx),
+            yield from _csv_blocks(header if lo == 0 else None, line,
+                                   [np.tile(alpha_texts, len(block)),
+                                    np.repeat(beta_texts[lo:hi], nx),
                                     classes[block.ravel()], margins.ravel()])
 
     return strata, csv_blocks(), _raster_blocks(strata[::-1], block_rows)
@@ -422,7 +421,7 @@ def run_sweep(config: dict):
 def run_path(config: dict):
     """Classify and measure the attractor span along a parameter segment.
 
-    Every step is classified by one ``classify_grid`` call.  Emits one CSV
+    Every step is classified by one ``region_verdicts`` call.  Emits one CSV
     row per step and reports every step where the span length jumps by more
     than 0.25 (the collision detector).
     """
@@ -435,8 +434,8 @@ def run_path(config: dict):
         raise ValidationError("path.end", "span from path.start overflows")
     t = np.arange(steps, dtype=float) / (steps - 1)
     alphas, betas = a0 + (a1 - a0) * t, b0 + (b1 - b0) * t
-    verdicts = region_verdicts(classify_grid(params, alphas, betas))
-    rows, lines, jumps = [], [], []
+    verdicts = region_verdicts(params, alphas, betas)
+    rows, traps, jumps = [], [], []
     prev_len = None
     for k, (alpha, beta, verdict) in enumerate(zip(alphas.tolist(), betas.tolist(),
                                                    verdicts)):
@@ -446,12 +445,13 @@ def run_path(config: dict):
         trap = "" if res.trapping is None else res.trapping.invariance_margin
         length = res.span.length
         rows.append([k, alpha, beta, verdict.stratum, length, res.span.full, trap])
-        lines.append("%d,%.12g,%.12g,%s,%.12g,%d," + ("%s" if trap == "" else "%.12g"))
+        traps.append("" if trap == "" else f"{trap:.12g}")
         if prev_len is not None and abs(length - prev_len) > 0.25:
             jumps.append(k)
         prev_len = length
     csv_blocks = _csv_blocks(["step", "alpha", "beta", "stratum", "span_length",
-                              "span_full", "trap_margin"], lines, list(zip(*rows)))
+                              "span_full", "trap_margin"], "%d,%.12g,%.12g,%s,%.12g,%d,%s",
+                             list(zip(*rows))[:6] + [traps])
     report = {"jump_steps": jumps,
               "first_jump_step": jumps[0] if jumps else None,
               "jump_count": len(jumps)}
@@ -503,7 +503,7 @@ def run_histogram(config: dict):
         chunk_counts, edges = np.histogram(chunk, bins=h["bins"], range=(0.0, 1.0))
         counts += chunk_counts
     rows = [[i, edges[i], edges[i + 1], int(c)] for i, c in enumerate(counts)]
-    csv_blocks = _csv_blocks(["bin", "lo", "hi", "count"], ["%d,%.12g,%.12g,%d"],
+    csv_blocks = _csv_blocks(["bin", "lo", "hi", "count"], "%d,%.12g,%.12g,%d",
                              list(zip(*rows)))
     return rows, csv_blocks
 
@@ -523,11 +523,11 @@ def _degree_family(config: dict):
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each returns {file name: payload}, where a dict is a JSON report,
-# bytes are written as they are, a callable returns one of those when main
-# reaches it, and any other payload is an iterable of encoded blocks, written
-# one at a time as they are made; ``main`` writes them all, in order, each to
-# its end before the next
+# subcommands: each is a generator of (file name, payload) in write order,
+# where a payload is a dict, written as a JSON report, or an iterable of
+# encoded blocks, written one at a time as they are made.  ``main`` writes
+# each payload to its end before it resumes the command, so a later payload
+# may read what an earlier one filled
 
 
 def _word_from_config(config: dict) -> Word:
@@ -537,7 +537,7 @@ def _word_from_config(config: dict) -> Word:
         raise ValidationError("word.letters", f"unknown letter {exc}") from exc
 
 
-def cmd_verify(config: dict) -> dict:
+def cmd_verify(config: dict):
     model = _model(config)
     rep = verify_hypotheses(model)
     cones = verify_cones(build_skew(model, **config["skew"]), grid_x=200)
@@ -545,7 +545,7 @@ def cmd_verify(config: dict) -> dict:
     sing = check_singularity_conditions(
         EigenvalueTriple(e["lambda_ss"], e["lambda_s"], e["lambda_u"]),
         N=e["N"], tol=e["tol"])
-    return {"verify.json": {
+    yield "verify.json", {
         "hypotheses": {**rep._asdict(), "all_ok": rep.all_ok},
         "cones": {"analytic_bound": cones.analytic_cone_bound,
                   "worst_cone_factor": cones.worst_cone_factor,
@@ -554,49 +554,49 @@ def cmd_verify(config: dict) -> dict:
         "singularity": {"lorenz_like": sing.lorenz_like, "non_resonant": sing.non_resonant,
                         "resonances": [{"m": list(m), "lambda_index": i, "value": val}
                                        for m, i, val in sing.resonances]},
-    }}
+    }
 
 
-def cmd_classify(config: dict) -> dict:
+def cmd_classify(config: dict):
     model = _model(config)
-    return {"classify.json": {**classify(model)._asdict(), "lambda_min": model.lambda_min}}
+    yield "classify.json", {**classify(model)._asdict(), "lambda_min": model.lambda_min}
 
 
-def cmd_kneading(config: dict) -> dict:
+def cmd_kneading(config: dict):
     kd = kneading_data(_model(config), config["engine"]["depth"])
-    return {"kneading.json": {"depth": kd.depth,
-                              "words": {name: str(w) for name, w in kd.words()}}}
+    yield "kneading.json", {"depth": kd.depth,
+                            "words": {name: str(w) for name, w in kd.words()}}
 
 
-def cmd_itinerary(config: dict) -> dict:
+def cmd_itinerary(config: dict):
     it = config["itinerary"]
     side = PLUS if it["side"] == "+" else MINUS
     word = itinerary(_model(config), SignedPoint(it["x"], side),
                      config["engine"]["depth"])
-    return {"itinerary.json": {"x": it["x"], "side": it["side"], "word": str(word)}}
+    yield "itinerary.json", {"x": it["x"], "side": it["side"], "word": str(word)}
 
 
-def cmd_admissible(config: dict) -> dict:
+def cmd_admissible(config: dict):
     model = _model(config)
     word = _word_from_config(config)
     kd = kneading_data(model, max(config["engine"]["depth"], word.depth))
     verdict = is_admissible(word, kd)
-    return {"admissible.json": {
+    yield "admissible.json", {
         "word": str(word),
         "admissible_to_depth": verdict.admissible_to_depth,
         "admissible": verdict.admissible,
         "rejection": (None if verdict.rejection is None else
                       {"index": verdict.rejection[0],
-                       "condition": verdict.rejection[1]})}}
+                       "condition": verdict.rejection[1]})}
 
 
-def cmd_realize(config: dict) -> dict:
+def cmd_realize(config: dict):
     model = _model(config)
     word = _word_from_config(config)
-    return {"realize.json": {"word": str(word), **realize(model, word)._asdict()}}
+    yield "realize.json", {"word": str(word), **realize(model, word)._asdict()}
 
 
-def cmd_conjugacy(config: dict) -> dict:
+def cmd_conjugacy(config: dict):
     model = _model(config)
     cj = config["conjugacy"]
     try:
@@ -605,35 +605,33 @@ def cmd_conjugacy(config: dict) -> dict:
         raise PreconditionError(f"matched-model shoot: {exc}; conjugacy.match_depth "
                                 f"{cj['match_depth']} is past realize's resolution") from exc
     result = build_conjugacy(model, other, cj["match_depth"], cj["grid"])
-    return {
-        "conjugacy.json": {
-            "other_alpha": other.params.alpha, "other_beta": other.params.beta,
-            "other_theta1": other.params.theta1,
-            "defect": result.defect, "interp_defect": result.interp_defect,
-            "monotone": result.monotone, "pairs": len(result.pairs)},
-        "conjugacy_pairs.csv": _csv_blocks(["x", "h_x"], ["%.12g,%.12g"],
-                                           list(zip(*result.pairs))),
-    }
+    yield "conjugacy.json", {
+        "other_alpha": other.params.alpha, "other_beta": other.params.beta,
+        "other_theta1": other.params.theta1,
+        "defect": result.defect, "interp_defect": result.interp_defect,
+        "monotone": result.monotone, "pairs": len(result.pairs)}
+    yield "conjugacy_pairs.csv", _csv_blocks(["x", "h_x"], "%.12g,%.12g",
+                                             list(zip(*result.pairs)))
 
 
-def cmd_sweep(config: dict) -> dict:
-    # the PPM blocks read the strata that the CSV blocks fill: main writes
-    # the payloads in this order, each to its end, which makes that correct
+def cmd_sweep(config: dict):
     _, csv_blocks, ppm_blocks = run_sweep(config)
-    return {"sweep.csv": csv_blocks, "sweep.ppm": ppm_blocks}
+    yield "sweep.csv", csv_blocks
+    yield "sweep.ppm", ppm_blocks
 
 
-def cmd_path(config: dict) -> dict:
+def cmd_path(config: dict):
     _, csv_blocks, report = run_path(config)
-    return {"path.csv": csv_blocks, "path_report.json": report}
+    yield "path.csv", csv_blocks
+    yield "path_report.json", report
 
 
-def cmd_histogram(config: dict) -> dict:
+def cmd_histogram(config: dict):
     _, csv_blocks = run_histogram(config)
-    return {"histogram.csv": csv_blocks}
+    yield "histogram.csv", csv_blocks
 
 
-def cmd_attractor2d(config: dict) -> dict:
+def cmd_attractor2d(config: dict):
     cloud = config["cloud"]
     if cloud["width"] * cloud["height"] > MAX_INT:
         raise ValidationError("cloud.height", f"width x height must not exceed {MAX_INT}")
@@ -643,29 +641,25 @@ def cmd_attractor2d(config: dict) -> dict:
     hits, leaf = CloudHits(cloud["width"], cloud["height"]), LeafBuckets()
 
     def csv_blocks():
+        # no cloud is held whole: each kept block is counted and bucketed as
+        # its CSV rows are formatted, and the raster and the leaf span read
+        # those counts once cloud.csv is written
         header = ["x", "y"]
         for x, y in blocks:
             hits.add(x, y)
             leaf.add(x)
-            yield from _csv_blocks(header, ["%.12g,%.12g"], [x, y])
+            yield from _csv_blocks(header, "%.12g,%.12g", [x, y])
             header = None
 
-    # no cloud is held whole: each kept block is counted and bucketed as its
-    # CSV rows are formatted, and the raster and the leaf span read those
-    # counts.  main writes the payloads in this order, each to its end, and
-    # calls the last two when it reaches them, after cloud.csv, as the
-    # sweep's PPM reads the strata its CSV fills
-    return {
-        "cloud.csv": csv_blocks(),
-        "cloud.pgm": lambda: render_pgm(hits.raster()),
-        "attractor2d.json": lambda: {"leaf_span": leaf.span()},
-    }
+    yield "cloud.csv", csv_blocks()
+    yield "cloud.pgm", [render_pgm(hits.raster())]
+    yield "attractor2d.json", {"leaf_span": leaf.span()}
 
 
-def cmd_degree(config: dict) -> dict:
+def cmd_degree(config: dict):
     deg = family_degree(_degree_family(config))
-    return {"degree.json": {"matrix": [list(r) for r in deg.entries],
-                            "determinant": deg.determinant, "essential": deg.essential}}
+    yield "degree.json", {"matrix": [list(r) for r in deg.entries],
+                          "determinant": deg.determinant, "essential": deg.essential}
 
 
 COMMANDS = {
@@ -708,13 +702,11 @@ def main(argv=None) -> int:
         config = load_config(_read_config(args.config))
         _check_planned_steps(args.command, config)
         args.out.mkdir(parents=True, exist_ok=True)
-        for name, payload in COMMANDS[args.command](config).items():
-            if callable(payload):
-                payload = payload()
+        for name, payload in COMMANDS[args.command](config):
             if isinstance(payload, dict):
-                payload = _json_report(payload, config)
+                payload = [_json_report(payload, config)]
             with open(args.out / name, "wb") as fh:
-                fh.writelines([payload] if isinstance(payload, bytes) else payload)
+                fh.writelines(payload)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -15,12 +15,13 @@ from lorenzlab.atlas import (
     attractor_span,
     RegionVerdict,
     classify,
-    classify_grid,
+    classify_cells,
     golden_bound,
     HorseshoeCertificate,
     horseshoe_certificate,
     iterate_segments,
     region_verdicts,
+    solve_axis,
     trapping_interval,
 )
 from lorenzlab.circle import (
@@ -66,7 +67,7 @@ M0 = M(0.6, 0.3)
 
 def classify_reference(model):
     """The stratum rule stated branch by branch on one model: the reference
-    that ``classify_grid`` (and so ``classify``) is checked against.
+    that ``region_verdicts`` (and so ``classify``) is checked against.
 
     Homoclinic strata are detected first (cusp within SNAP of a
     discontinuity), then the fixed points decide the quadrant; in the
@@ -176,15 +177,18 @@ def test_classify_degenerate_symmetric():
 # --- grid classification ---------------------------------------------------
 
 def _grid_matches_classify(params, alphas, betas):
-    """Assert classify_grid over the row alphas and the column betas equals
-    the reference on every cell, whole verdicts and margins bit for bit;
+    """Assert region_verdicts over the row alphas and the column betas equals
+    the reference on every cell, whole verdicts and margins bit for bit, and
+    classify_cells on the two solve_axis results holds the grid's shape;
     return the set of strata seen."""
-    grid = classify_grid(params, alphas, np.array(betas)[:, None])
-    strata, margins, p1, p2 = grid
+    column = np.array(betas)[:, None]
+    q1, p1 = solve_axis(params, alphas, 1)
+    q2, p2 = solve_axis(params, column, 2)
+    strata, margins = classify_cells(params, q1, p1, q2, p2)
     shape = (len(betas), len(alphas))
-    assert strata.shape == margins.shape == p1.shape == p2.shape == shape
+    assert strata.shape == margins.shape == np.broadcast_shapes(p1.shape, p2.shape) == shape
     assert margins.dtype == np.float64
-    cells = iter(region_verdicts(grid))
+    cells = iter(region_verdicts(params, alphas, column))
     for b in betas:
         for a in alphas:
             want = classify_reference(build_model(params._replace(alpha=a, beta=b)))
@@ -231,9 +235,9 @@ def test_classify_stable_within_margin(model, u, v):
     moved = p._replace(alpha=p.alpha + u * room, beta=p.beta + v * room)
     assert classify(build_model(moved)).stratum == verdict.stratum
     # every cell of the 3x3 grid spanning +-room around the point
-    strata, *_ = classify_grid(p, [p.alpha + k * room for k in (-1, 0, 1)],
-                               [[p.beta + k * room] for k in (-1, 0, 1)])
-    assert {atlas.STRATA[k] for k in strata.ravel()} == {verdict.stratum}
+    cells = region_verdicts(p, [p.alpha + k * room for k in (-1, 0, 1)],
+                            [[p.beta + k * room] for k in (-1, 0, 1)])
+    assert len(cells) == 9 and {v.stratum for v in cells} == {verdict.stratum}
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -257,7 +261,7 @@ def test_classify_grid_on_path_matches_reference(path, theta1):
     alphas = [a0 + (a1 - a0) * t for t in ts]
     betas = [b0 + (b1 - b0) * t for t in ts]
     params = ModelParams(a0, b0, theta1=theta1)
-    got = region_verdicts(classify_grid(params, alphas, betas))
+    got = region_verdicts(params, alphas, betas)
     assert len(got) == steps
     for v, a, b in zip(got, alphas, betas):
         want = classify_reference(build_model(params._replace(alpha=a, beta=b)))
@@ -281,12 +285,13 @@ def test_classify_grid_solves_each_distinct_value_once(monkeypatch):
     monkeypatch.setattr(atlas, "branch_fixed_point", counting)
     (a0, b0), (a1, b1), steps = PATHS["collision"]
     t = np.arange(steps, dtype=float) / (steps - 1)
-    classify_grid(ModelParams(a0, b0, theta1=0.19), a0 + (a1 - a0) * t, b0 + (b1 - b0) * t)
+    region_verdicts(ModelParams(a0, b0, theta1=0.19), a0 + (a1 - a0) * t, b0 + (b1 - b0) * t)
     assert solves.count(1) == steps and solves.count(2) == 1
     solves.clear()
     values = [0.77, 0.21, 0.77, -0.0, 0.9, 0.21, 0.0, 0.77]
-    _grid_matches_classify(ModelParams(0.6, 0.3), values, values)
+    region_verdicts(ModelParams(0.6, 0.3), values, np.array(values)[:, None])
     assert solves.count(1) == solves.count(2) == len(set(values))
+    _grid_matches_classify(ModelParams(0.6, 0.3), values, values)
 
 
 @pytest.mark.parametrize("c", [0.5, 0.45])

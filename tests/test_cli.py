@@ -123,6 +123,14 @@ def test_sweep_degenerate_band():
     assert on_diag and all(r["stratum"] == atlas.DEGENERATE for r in on_diag)
 
 
+def _classify_grid(params, alphas, betas):
+    """The (stratum, margin) arrays of the models at (alphas, betas),
+    broadcast against each other, in one call on the whole grid."""
+    q1, p1 = atlas.solve_axis(params, alphas, 1)
+    q2, p2 = atlas.solve_axis(params, betas, 2)
+    return atlas.classify_cells(params, q1, p1, q2, p2)
+
+
 def _row_wise_sweep(config):
     """The sweep emitter as it was written row by row: every CSV field
     through one ``fmt`` call, every pixel through one palette lookup."""
@@ -141,8 +149,7 @@ def _row_wise_sweep(config):
     alphas = [a_lo + (a_hi - a_lo) * i / (nx - 1) for i in range(nx)]
     betas = [b_lo + (b_hi - b_lo) * j / (ny - 1) for j in range(ny)]
     lambda_min = build_model(params).lambda_min
-    strata, margins, _, _ = atlas.classify_grid(params, alphas,
-                                                np.array(betas)[:, None])
+    strata, margins = _classify_grid(params, alphas, np.array(betas)[:, None])
     labels = [[atlas.STRATA[k] for k in row] for row in strata.tolist()]
     rows = [[a, b, label, atlas.STRATUM_DYNAMICS[label], m, lambda_min]
             for b, label_row, margin_row in zip(betas, labels, margins.tolist())
@@ -181,7 +188,7 @@ def test_sweep_emitters_match_row_wise_oracle(doc):
 
 def _whole_grid_sweep(config):
     """run_sweep's CSV and PPM documents as they were made before row
-    blocks: one classify_grid call on the whole grid, int64 strata and
+    blocks: one classify_cells call on the whole grid, int64 strata and
     float64 margins held for it, one palette lookup over every cell."""
     sw = config["sweep"]
     params = ModelParams(**config["model"])
@@ -191,16 +198,16 @@ def _whole_grid_sweep(config):
     alphas = a_lo + (a_hi - a_lo) * np.arange(nx, dtype=float) / (nx - 1)
     betas = b_lo + (b_hi - b_lo) * np.arange(ny, dtype=float) / (ny - 1)
     lambda_min = build_model(params).lambda_min
-    strata, margins, _, _ = atlas.classify_grid(params, alphas, betas[:, None])
-    lam = f"{lambda_min:.12g}"
-    row = [f"{a:.12g},%s,%s,%.12g,{lam}" for a in alphas.tolist()]
+    strata, margins = _classify_grid(params, alphas, betas[:, None])
+    line = f"%s,%s,%s,%.12g,{lambda_min:.12g}"
+    alpha_texts = np.array([f"{a:.12g}" for a in alphas.tolist()], dtype=object)
     beta_texts = np.array([f"{b:.12g}" for b in betas.tolist()], dtype=object)
     classes = np.array([f"{label},{atlas.STRATUM_DYNAMICS[label]}"
                         for label in atlas.STRATA], dtype=object)
     csv_blocks = cli._csv_blocks(["alpha", "beta", "stratum", "dynamics", "margin",
                                   "lambda_min"],
-                                 row, [np.repeat(beta_texts, nx), classes[strata.ravel()],
-                                       margins.ravel()])
+                                 line, [np.tile(alpha_texts, ny), np.repeat(beta_texts, nx),
+                                        classes[strata.ravel()], margins.ravel()])
     return strata, b"".join(csv_blocks), cli.render_raster(strata[::-1])
 
 
@@ -242,40 +249,48 @@ def _csv_reference(header, lines, values):
 
 def _emitter_inputs(kind, n, rng):
     """An n-row table shaped as one CLI output's: the header, then the
-    (lines, columns) that ``_csv`` takes and the (lines, values) that the
+    (line, columns) that ``_csv`` takes and the (lines, values) that the
     callers gave ``_csv_reference``."""
     x = rng.standard_normal((n, 2)) * 10.0 ** rng.integers(-30, 30, (n, 2))
     if kind == "sweep":
-        row = [f"{a:.12g},%s,%s,%.12g,{math.pi:.12g}" for a in rng.uniform(size=7)]
+        # the reference formats each of 7 grid columns' alpha into its own
+        # template line; the emitter takes alpha as a text column
+        alphas = rng.uniform(size=7)
+        row = [f"{a:.12g},%s,%s,%.12g,{math.pi:.12g}" for a in alphas]
+        alpha_texts = np.array([f"{a:.12g}" for a in alphas], dtype=object)[np.arange(n) % 7]
         betas = np.array([f"{b:.12g}" for b in rng.uniform(size=n)], dtype=object)
         classes = np.array([f"{label},{atlas.STRATUM_DYNAMICS[label]}"
                             for label in atlas.STRATA], dtype=object)
         cells = classes[rng.integers(0, len(classes), n)]
         values = [v for k in range(n) for v in (betas[k], cells[k], x[k, 0])]
         return (["alpha", "beta", "stratum", "dynamics", "margin", "lambda_min"],
-                row, [betas, cells, x[:, 0]], (row * n)[:n], values)
+                f"%s,%s,%s,%.12g,{math.pi:.12g}", [alpha_texts, betas, cells, x[:, 0]],
+                (row * n)[:n], values)
     if kind == "path":
+        # the reference picks %s or %.12g per row for the trap margin; the
+        # emitter takes it as a text column, "" or the margin as %.12g
         full = rng.integers(0, 2, n).astype(bool).tolist()
         rows = [[k, a, b, atlas.STRATA[k % len(atlas.STRATA)], length, f,
                  "" if f else m]
                 for k, (a, b, length, m, f) in enumerate(zip(
                     *x.T.tolist(), *rng.uniform(size=(2, n)).tolist(), full))]
         lines = ["%d,%.12g,%.12g,%s,%.12g,%d," + ("%s" if f else "%.12g") for f in full]
+        traps = ["" if row[6] == "" else f"{row[6]:.12g}" for row in rows]
         return (["step", "alpha", "beta", "stratum", "span_length", "span_full",
-                 "trap_margin"], lines, list(zip(*rows)), lines,
-                [v for row in rows for v in row])
+                 "trap_margin"], "%d,%.12g,%.12g,%s,%.12g,%d,%s",
+                list(zip(*rows))[:6] + [traps], lines, [v for row in rows for v in row])
     if kind == "histogram":
         edges = np.sort(rng.uniform(size=n + 1))
         rows = [[i, edges[i], edges[i + 1], int(c)]
                 for i, c in enumerate(rng.integers(0, 10**9, n))]
-        return (["bin", "lo", "hi", "count"], ["%d,%.12g,%.12g,%d"],
+        return (["bin", "lo", "hi", "count"], "%d,%.12g,%.12g,%d",
                 list(zip(*rows)), ["%d,%.12g,%.12g,%d"] * n,
                 [v for row in rows for v in row])
     if kind == "conjugacy_pairs":
         pairs = [tuple(p) for p in x.tolist()]
-        return (["x", "h_x"], ["%.12g,%.12g"], list(zip(*pairs)),
+        return (["x", "h_x"], "%.12g,%.12g", list(zip(*pairs)),
                 ["%.12g,%.12g"] * n, [v for pair in pairs for v in pair])
-    return (["x", "y"], ["%.12g,%.12g"], [x[:, 0], x[:, 1]],
+    return (["x", "y"], "%.12g,%.12g", [x[:, 0], x[:, 1]],
             ["%.12g,%.12g"] * n, x.ravel().tolist())
 
 
@@ -289,11 +304,11 @@ _C = cli.SWEEP_BLOCK_CELLS
 @pytest.mark.parametrize("kind", ["sweep", "path", "histogram", "conjugacy_pairs",
                                   "cloud"])
 def test_csv_blocks_match_one_pass_reference(kind, rows):
-    header, lines, columns, ref_lines, ref_values = _emitter_inputs(
+    header, line, columns, ref_lines, ref_values = _emitter_inputs(
         kind, rows, np.random.default_rng(rows))
     want = _csv_reference(header, ref_lines, ref_values)
-    assert cli._csv(header, lines, columns) == want
-    blocks = list(cli._csv_blocks(header, lines, columns))
+    assert cli._csv(header, line, columns) == want
+    blocks = list(cli._csv_blocks(header, line, columns))
     assert b"".join(blocks) == want
     assert [block.count(b"\n") for block in blocks] == [
         min(_B, rows - lo) + (lo == 0) for lo in range(0, rows, _B)]
@@ -329,16 +344,16 @@ def _main_peak(command, doc, out):
 
 def test_csv_emission_holds_a_table_about_once(tmp_path):
     # main writes each CSV block as it is formatted, so a run peaks at its
-    # arrays.  The 256^2 sweep peaks at classify_grid's own peak on its grid
-    # (4.38 MB against 4.40 MB); holding the 4.16 MB sweep.csv whole while it
-    # was formatted in row blocks peaked at 7.39 MB.  The bound allows a tenth
-    # of the CSV above classify_grid, which the whole-table peak misses by
-    # 2.6 MB
+    # arrays.  The 256^2 sweep peaks at the whole grid's solve_axis and
+    # classify_cells peak (4.38 MB against 4.40 MB); holding the 4.16 MB
+    # sweep.csv whole while it was formatted in row blocks peaked at 7.39 MB.
+    # The bound allows a tenth of the CSV above that grid peak, which the
+    # whole-table peak misses by 2.6 MB
     peak = _main_peak("sweep", {"sweep": {"grid_nx": 256, "grid_ny": 256}}, tmp_path)
     csv_length = (tmp_path / "sweep.csv").stat().st_size
     params = ModelParams(**load()["model"])
     grid = np.linspace(0.0, 1.0, 256)
-    _, grid_peak = _python_peak(lambda: atlas.classify_grid(params, grid, grid[:, None]))
+    _, grid_peak = _python_peak(lambda: _classify_grid(params, grid, grid[:, None]))
     assert peak <= grid_peak + 0.1 * csv_length
 
     # the cloud's peak grows with its points, not with its CSV: from 4,000
@@ -355,7 +370,7 @@ def test_csv_emission_holds_a_table_about_once(tmp_path):
 
 def test_sweep_holds_one_byte_per_cell(tmp_path):
     # the README 512^2 window: classifying in row blocks and holding only
-    # uint8 strata peaks at 0.72-0.80 MB, where the whole-grid classify_grid
+    # uint8 strata peaks at 0.72-0.80 MB, where classifying the whole grid
     # with int64 strata and float64 margins peaked at 16.85 MB; the bound
     # leaves 1.56x headroom, and the strata alone are 0.26 MB
     doc = {"sweep": {"grid_nx": 512, "grid_ny": 512,
@@ -372,7 +387,9 @@ def test_attractor_cloud_holds_no_float_image():
     # time into an int32 counter measures 1.50x, so the bound leaves 17%
     # headroom; an 8-byte counter alone would reach 2.16x
     cfg = load()
-    csv_length = len(b"".join(cli.cmd_attractor2d(cfg)["cloud.csv"]))
+    name, csv_blocks = next(cli.cmd_attractor2d(cfg))
+    assert name == "cloud.csv"
+    csv_length = len(b"".join(csv_blocks))
     skew = build_skew(cli._model(cfg), **cfg["skew"])
     _, peak = _python_peak(lambda: attractor_cloud(skew, **cfg["cloud"]))
     assert peak <= 1.75 * csv_length
@@ -699,8 +716,10 @@ def test_main_conjugacy_past_resolution_names_match_depth(tmp_path, capsys):
     assert "conjugacy.match_depth" in err and "shoot" in err
 
 
-@pytest.mark.parametrize("command,doc,key,loop", [
-    ("attractor2d", {"cloud": {"burn_in": 10**15}}, "cloud.burn_in", "attractor_cloud"),
+# per capped key: the command, a config past the cap, the key and the name in
+# cli through which the command starts its first loop
+_CAP_CASES = [
+    ("attractor2d", {"cloud": {"burn_in": 10**15}}, "cloud.burn_in", "cloud_blocks"),
     ("kneading", {"engine": {"depth": 10**15}}, "engine.depth", "kneading_data"),
     ("itinerary", {"engine": {"depth": 10**15}}, "engine.depth", "itinerary"),
     ("admissible", {"engine": {"depth": 10**15}}, "engine.depth", "kneading_data"),
@@ -712,9 +731,12 @@ def test_main_conjugacy_past_resolution_names_match_depth(tmp_path, capsys):
      "run_histogram"),
     ("histogram", {"histogram": {"orbit_length": 10**15}}, "histogram.orbit_length",
      "run_histogram"),
-    ("path", {"path": {"steps": 10**15}}, "path.steps", "classify_grid"),
-    ("sweep", {"sweep": {"grid_nx": 10**15}}, "sweep.grid_nx", "classify_grid"),
-])
+    ("path", {"path": {"steps": 10**15}}, "path.steps", "region_verdicts"),
+    ("sweep", {"sweep": {"grid_nx": 10**15}}, "sweep.grid_nx", "run_sweep"),
+]
+
+
+@pytest.mark.parametrize("command,doc,key,loop", _CAP_CASES)
 def test_planned_steps_cap_runs_no_loop(command, doc, key, loop, tmp_path, capsys,
                                         monkeypatch):
     # the cap reads the config alone: no model is built and no loop starts
@@ -728,6 +750,30 @@ def test_planned_steps_cap_runs_no_loop(command, doc, key, loop, tmp_path, capsy
     assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 4
     err = capsys.readouterr().err
     assert err.startswith("budget exceeded: ") and key in err and err.count("\n") == 1
+
+
+# small configs, so that each command runs its loops under the cap
+_SMALL = {"cloud": {"samples": 200}, "conjugacy": {"match_depth": 12, "grid": 20},
+          "histogram": {"orbit_length": 2000, "bins": 64},
+          "path": {"steps": 3}, "sweep": {"grid_nx": 4, "grid_ny": 3}}
+
+
+@pytest.mark.parametrize("command,loop", sorted({(c, loop) for c, _, _, loop in _CAP_CASES}))
+def test_planned_steps_cap_cases_patch_a_reached_name(command, loop, tmp_path, monkeypatch):
+    # a case whose patched name the command no longer calls would pass
+    # test_planned_steps_cap_runs_no_loop whether or not the cap holds
+    calls = []
+    reached = getattr(cli, loop)
+
+    def recording(*args, **kwargs):
+        calls.append(loop)
+        return reached(*args, **kwargs)
+
+    monkeypatch.setattr(cli, loop, recording)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_SMALL))
+    assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert calls
 
 
 def test_planned_steps_cap_clears_every_shipped_config():
@@ -763,6 +809,27 @@ def test_main_unwritable_report_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert "classify.json" in err
+
+
+def test_main_writes_each_payload_before_resuming_the_command(tmp_path, monkeypatch):
+    # a command yields (file name, payload) in write order: a block payload is
+    # written to its end, and its file closed, before the command resumes, and
+    # a dict is written as a JSON report with the config echoed
+    blocks = [b"a,b\n", b"1,2\n", b"3,4\n"]
+    resumed = []
+
+    def command(config):
+        yield "first.csv", iter(blocks)
+        assert (tmp_path / "first.csv").read_bytes() == b"".join(blocks)
+        resumed.append(True)
+        yield "second.json", {"rows": 2}
+
+    monkeypatch.setitem(cli.COMMANDS, "classify", command)
+    assert cli.main(["classify", "--out", str(tmp_path)]) == 0
+    assert resumed
+    report = (tmp_path / "second.json").read_bytes()
+    assert report == cli._json_report({"rows": 2}, load())
+    assert json.loads(report) == {"rows": 2, "config": load()}
 
 
 def test_main_expansion_failure_message_is_short(tmp_path, capsys):
