@@ -217,21 +217,24 @@ class CloudHits:
 
     def __init__(self, width: int, height: int):
         self.width, self.height = width, height
-        self.hits = np.zeros(height * width, dtype=np.int32)
+        self.hits = np.zeros((height, width), dtype=np.int32)
 
     def add(self, x, y) -> None:
         cols = np.clip((x * self.width).astype(int), 0, self.width - 1)
         rows = np.clip(((1.0 - (y + 1.0) / 2.0) * self.height).astype(int),
                        0, self.height - 1)
-        np.add.at(self.hits, rows * self.width + cols, 1)
+        np.add.at(self.hits.ravel(), rows * self.width + cols, 1)
+
+    def shade(self) -> np.ndarray:
+        """The uint8 shade of a pixel with k hits, 255.0 * k / peak, for
+        k = 0..peak: the image is this table indexed by ``hits``, so no
+        float image is held."""
+        peak = max(int(self.hits.max()), 1)
+        return (255.0 * np.arange(peak + 1) / peak).astype(np.uint8)
 
     def raster(self) -> np.ndarray:
-        """The uint8 image: a pixel with k hits shows 255.0 * k / peak, read
-        from a table of those values for k = 0..peak, so no float image is
-        held."""
-        peak = max(int(self.hits.max()), 1)
-        shade = (255.0 * np.arange(peak + 1) / peak).astype(np.uint8)
-        return shade[self.hits].reshape(self.height, self.width)
+        """The (height, width) uint8 image, ``shade()`` at every pixel."""
+        return self.shade()[self.hits]
 
 
 def attractor_cloud(skew: SkewModel, depth: int, samples: int,

@@ -7,13 +7,14 @@ endings and a header row; rasters are binary PPM (P6) for stratum maps and
 binary PGM (P5) for attractor clouds.
 
 Exit codes: 0 success, 2 config error (including an output directory that
-cannot be created or written), 3 precondition error, 4 budget exceeded.
+cannot be created or written) or bad command line, 3 precondition error,
+4 budget exceeded.
 """
 
 from __future__ import annotations
 
-import argparse
 import copy
+import getopt
 import json
 import math
 import sys
@@ -296,16 +297,23 @@ _PALETTE_RGB = np.array([PALETTE[label] for label in atlas.STRATA], dtype=np.uin
 def render_raster(strata: np.ndarray) -> bytes:
     """Binary PPM (P6), one pixel per cell of an array of indices into
     atlas.STRATA, rows emitted as given."""
-    return b"".join(_raster_blocks(strata, len(strata)))
+    return b"".join(_raster_blocks("P6", _PALETTE_RGB, strata))
 
 
-def _raster_blocks(strata: np.ndarray, rows: int):
-    """``render_raster``'s document as its header and then blocks of ``rows``
-    rows of pixels, each looked up when it is reached."""
-    height, width = strata.shape
-    yield f"P6\n{width} {height}\n255\n".encode()
+# pixels per block of a streamed raster: a block's looked-up pixels exist
+# only until main has written them, so no image is ever held whole
+RASTER_BLOCK_CELLS = 4096
+
+
+def _raster_blocks(magic: str, table: np.ndarray, index: np.ndarray):
+    """The binary PNM document (P5 or P6, by ``magic``) whose pixel (j, i) is
+    ``table[index[j, i]]``: its header and then blocks of whole rows of about
+    RASTER_BLOCK_CELLS pixels, each looked up when it is reached."""
+    height, width = index.shape
+    yield f"{magic}\n{width} {height}\n255\n".encode()
+    rows = max(1, RASTER_BLOCK_CELLS // width)
     for lo in range(0, height, rows):
-        yield _PALETTE_RGB[strata[lo:lo + rows]].tobytes()
+        yield table[index[lo:lo + rows]].tobytes()
 
 
 def render_pgm(img: np.ndarray) -> bytes:
@@ -415,7 +423,7 @@ def run_sweep(config: dict):
                                     np.repeat(beta_texts[lo:hi], nx),
                                     classes[block.ravel()], margins.ravel()])
 
-    return strata, csv_blocks(), _raster_blocks(strata[::-1], block_rows)
+    return strata, csv_blocks(), _raster_blocks("P6", _PALETTE_RGB, strata[::-1])
 
 
 def run_path(config: dict):
@@ -643,7 +651,8 @@ def cmd_attractor2d(config: dict):
     def csv_blocks():
         # no cloud is held whole: each kept block is counted and bucketed as
         # its CSV rows are formatted, and the raster and the leaf span read
-        # those counts once cloud.csv is written
+        # those counts once cloud.csv is written; the raster is streamed in
+        # row blocks, each the shade table indexed by a block of the counter
         header = ["x", "y"]
         for x, y in blocks:
             hits.add(x, y)
@@ -652,7 +661,7 @@ def cmd_attractor2d(config: dict):
             header = None
 
     yield "cloud.csv", csv_blocks()
-    yield "cloud.pgm", [render_pgm(hits.raster())]
+    yield "cloud.pgm", _raster_blocks("P5", hits.shade(), hits.hits)
     yield "attractor2d.json", {"leaf_span": leaf.span()}
 
 
@@ -687,32 +696,70 @@ def _read_config(path: Path | None) -> str:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
 
 
+def _usage() -> str:
+    return (f"usage: lorenzlab {{{','.join(sorted(COMMANDS))}}} "
+            "[--config PATH] [--out DIR]")
+
+
+_LONG_OPTIONS = ["config=", "out=", "help"]
+
+
+def _parse_args(argv: list[str]):
+    """``(command, config path or None, output directory)`` of a command line
+    ``COMMAND [--config PATH] [--out DIR]``, or None when it asks for help.
+
+    The command may sit anywhere among the options; an option may be
+    written ``--opt=value`` or as a unique prefix, and a repeated option's
+    last value wins.  Raises getopt.GetoptError on a bad command line.
+    """
+    opts, words = getopt.gnu_getopt(argv, "h", _LONG_OPTIONS)
+    if words[1:]:
+        # gnu_getopt stops at the first word when POSIXLY_CORRECT is set;
+        # the grammar has one word, so what follows it is parsed once more
+        more, words[1:] = getopt.gnu_getopt(words[1:], "h", _LONG_OPTIONS)
+        opts += more
+    options = dict(opts)
+    if "-h" in options or "--help" in options:
+        return None
+    if not words:
+        raise getopt.GetoptError("a command is required")
+    if words[0] not in COMMANDS:
+        raise getopt.GetoptError(f"unknown command {words[0]!r}")
+    if len(words) > 1:
+        raise getopt.GetoptError(f"unexpected argument {words[1]!r}")
+    config = options.get("--config")
+    return (words[0], None if config is None else Path(config),
+            Path(options.get("--out", "out")))
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="lorenzlab",
-        description="Return-map laboratory for up/down/two-sided Lorenz attractors")
-    parser.add_argument("command", choices=sorted(COMMANDS))
-    parser.add_argument("--config", type=Path, default=None,
-                        help="JSON config file (defaults apply when omitted)")
-    parser.add_argument("--out", type=Path, default=Path("out"),
-                        help="output directory")
-    args = parser.parse_args(argv)
+    try:
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
+    except getopt.GetoptError as exc:
+        print(f"usage error: {exc.msg}; {_usage()}", file=sys.stderr)
+        return 2
+    if args is None:
+        print(f"{_usage()}\n\nReturn-map laboratory for up/down/two-sided Lorenz "
+              "attractors.\n  --config PATH  JSON config file (defaults apply when "
+              "omitted)\n  --out DIR      output directory (default: out)")
+        return 0
+    command, config_path, out = args
 
     try:
-        config = load_config(_read_config(args.config))
-        _check_planned_steps(args.command, config)
-        args.out.mkdir(parents=True, exist_ok=True)
-        for name, payload in COMMANDS[args.command](config):
+        config = load_config(_read_config(config_path))
+        _check_planned_steps(command, config)
+        out.mkdir(parents=True, exist_ok=True)
+        for name, payload in COMMANDS[command](config):
             if isinstance(payload, dict):
                 payload = [_json_report(payload, config)]
-            with open(args.out / name, "wb") as fh:
+            with open(out / name, "wb") as fh:
                 fh.writelines(payload)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         # config is read into memory first, so this is the output directory
-        print(f"config error: cannot write outputs to {args.out}: {exc}",
+        print(f"config error: cannot write outputs to {out}: {exc}",
               file=sys.stderr)
         return 2
     except PreconditionError as exc:
@@ -724,7 +771,7 @@ def main(argv=None) -> int:
         reason = str(exc) or "cannot allocate the arrays this config asks for"
         print(f"budget exceeded: {reason}", file=sys.stderr)
         return 4
-    print(f"{args.command}: wrote outputs to {args.out}")
+    print(f"{command}: wrote outputs to {out}")
     return 0
 
 

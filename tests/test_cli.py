@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lorenzlab import atlas, cli
-from lorenzlab.annulus import CLOUD_LANES, attractor_cloud, build_skew
+from lorenzlab.annulus import CLOUD_LANES, CloudHits, attractor_cloud, build_skew
 from lorenzlab.circle import norm1
 from lorenzlab.errors import (
     KneadingRecursionViolated,
@@ -684,6 +684,12 @@ BAD_INPUTS = [
     # a cusp word the shoot matches to depth 60 whose cylinder realize cannot
     # resolve past depth 36
     pytest.param("conjugacy", _PAST_RESOLUTION, 3, id="conjugacy-match_depth-60-3"),
+    # bad command lines: an unknown command, an unknown option, an option
+    # without its value and a second positional word
+    ("bogus", "{}", 2),
+    ("classify --bogus", "{}", 2),
+    ("classify --out", "{}", 2),
+    ("classify extra", "{}", 2),
 ]
 
 
@@ -706,6 +712,34 @@ def test_main_bad_input_exits_cleanly(command, text, code, tmp_path, capsys,
     assert err.count("\n") == 1 and "Traceback" not in err
     # the line names the error kind and then says what went wrong
     assert err.partition(": ")[2].strip()
+
+
+def test_main_command_line_grammar(tmp_path, capsys, monkeypatch):
+    # -h/--help prints a usage line naming every command and exits 0; it is
+    # checked before the command, so it also works on its own or beside an
+    # unknown command
+    for argv in (["--help"], ["-h"], ["bogus", "--help"]):
+        assert cli.main(argv) == 0
+        usage = capsys.readouterr().out
+        assert all(name in usage for name in cli.COMMANDS), usage
+    # --opt=value, a unique prefix of an option, and the command after its
+    # options; the report echoes the config file's value, so it was read
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"itinerary": {"x": 0.3}}))
+    for sub, argv in (("a", ["itinerary", f"--config={cfg}", f"--out={tmp_path / 'a'}"]),
+                      ("b", ["itinerary", "--conf", str(cfg), "--out", str(tmp_path / "b")])):
+        assert cli.main(argv) == 0
+        assert json.loads((tmp_path / sub / "itinerary.json").read_text())["x"] == 0.3
+    assert cli.main(["--out", str(tmp_path / "c"), "verify"]) == 0
+    assert (tmp_path / "c" / "verify.json").stat().st_size
+    # POSIXLY_CORRECT stops gnu_getopt at the first word, which must not
+    # change the grammar: options after the command still count, and a
+    # word after the command is still an error
+    monkeypatch.setenv("POSIXLY_CORRECT", "1")
+    assert cli.main(["itinerary", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 0
+    assert json.loads((tmp_path / "d" / "itinerary.json").read_text())["x"] == 0.3
+    assert cli.main(["itinerary", "extra", "--out", str(tmp_path / "e")]) == 2
+    assert "'extra'" in capsys.readouterr().err
 
 
 def test_main_conjugacy_past_resolution_names_match_depth(tmp_path, capsys):
@@ -906,6 +940,65 @@ def test_cmd_attractor2d_outputs(tmp_path):
     pgm = (tmp_path / "cloud.pgm").read_bytes()
     assert pgm.startswith(b"P5\n64 32\n255\n")
     assert len(pgm) == len(b"P5\n64 32\n255\n") + 64 * 32
+
+
+def _one_pixel_blocks(skew, depth, samples, burn_in, seed):
+    # every kept point on one spot: one pixel holds every hit, so the shade
+    # table runs to depth x samples entries
+    for _ in range(depth):
+        yield np.full(samples, 0.3), np.full(samples, 0.1)
+
+
+# the default raster (8 rows per block), a height that is no multiple of the
+# block rows, the narrowest raster (512 rows per block, two blocks) and a
+# cloud whose hits all fall in one pixel
+@pytest.mark.parametrize("doc,one_pixel", [
+    ({}, False),
+    ({"cloud": {"height": 3 * (cli.RASTER_BLOCK_CELLS // 512) + 5}}, False),
+    ({"cloud": {"width": 8, "height": 1000}}, False),
+    ({"cloud": {"width": 8, "height": 8}}, True),
+], ids=["default", "ragged-height", "width-8", "one-pixel"])
+def test_cloud_pgm_streams_the_hit_raster(doc, one_pixel, tmp_path, monkeypatch):
+    # cloud.pgm is written as its header and then row blocks, each the shade
+    # table indexed by a block of the hit counter; its bytes equal
+    # render_pgm of the whole raster
+    if one_pixel:
+        monkeypatch.setattr(cli, "cloud_blocks", _one_pixel_blocks)
+    cfg = load(doc)
+    c = cfg["cloud"]
+    hits = CloudHits(c["width"], c["height"])
+    for x, y in cli.cloud_blocks(build_skew(cli._model(cfg), **cfg["skew"]), c["depth"],
+                                 c["samples"], c["burn_in"], c["seed"]):
+        hits.add(x, y)
+    want = cli.render_pgm(hits.raster())
+
+    payloads = cli.cmd_attractor2d(cfg)
+    for _ in next(payloads)[1]:                # cloud.csv, which counts the hits
+        pass
+    name, blocks = next(payloads)
+    blocks = list(blocks)
+    assert name == "cloud.pgm" and b"".join(blocks) == want
+    rows = max(1, cli.RASTER_BLOCK_CELLS // c["width"])
+    assert [len(block) for block in blocks[1:]] == [
+        min(rows, c["height"] - lo) * c["width"] for lo in range(0, c["height"], rows)]
+    if one_pixel:
+        assert sorted(want[-64:]) == [0] * 63 + [255]
+
+    (tmp_path / "cfg.json").write_text(json.dumps(doc))
+    assert cli.main(["attractor2d", "--config", str(tmp_path / "cfg.json"),
+                     "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "cloud.pgm").read_bytes() == want
+
+
+def test_cloud_pgm_holds_only_the_hit_counter(tmp_path):
+    # cloud.pgm is streamed in row blocks from the 4-byte hit counter: from a
+    # 512^2 to a 1024^2 raster the Python peak of main grows by 4.0 bytes per
+    # added cell.  Rendering the whole uint8 raster and then its astype copy,
+    # its bytes and the header concatenation grew it by 7.0; the bound is 5
+    peaks = [_main_peak("attractor2d", {"cloud": {"width": n, "height": n}}, tmp_path)
+             for n in (512, 1024)]
+    assert (tmp_path / "cloud.pgm").stat().st_size == len(b"P5\n1024 1024\n255\n") + 1024 ** 2
+    assert peaks[1] - peaks[0] <= 5 * (1024 ** 2 - 512 ** 2)
 
 
 # seeds 1-3, lane-block edges, one kept step without burn-in, a model whose
