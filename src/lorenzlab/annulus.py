@@ -228,9 +228,13 @@ class CloudHits:
     def shade(self) -> np.ndarray:
         """The uint8 shade of a pixel with k hits, 255.0 * k / peak, for
         k = 0..peak: the image is this table indexed by ``hits``, so no
-        float image is held."""
+        float image is held.  The table is built in place, so it costs 9
+        bytes per entry at its peak."""
         peak = max(int(self.hits.max()), 1)
-        return (255.0 * np.arange(peak + 1) / peak).astype(np.uint8)
+        table = np.arange(peak + 1, dtype=float)
+        table *= 255.0
+        table /= peak
+        return table.astype(np.uint8)
 
     def raster(self) -> np.ndarray:
         """The (height, width) uint8 image, ``shade()`` at every pixel."""

@@ -221,14 +221,22 @@ def load_config(text: str) -> dict:
 
 # the most loop steps a config may plan for one command, where a step maps
 # one point once (a scalar or one numpy lane), classifies one grid cell,
-# reads one itinerary letter or tests one resonance triple.  The largest
-# shipped config, the benchmark's cloud of 4,000 x (60 + 12) = 288,000
-# steps, is 34 times below it
+# reads or compares one word letter, pulls back one cylinder or tests one
+# resonance triple.  The largest shipped config, the benchmark's cloud of
+# 4,000 x (60 + 12) = 288,000 steps, is 34 times below it
 MAX_STEPS = 10_000_000
+
+
+def _letter_count(config: dict) -> int:
+    """The letters in word.letters, split as ``Word.from_string`` splits them."""
+    return len(config["word"]["letters"].replace(",", " ").split())
+
 
 # per command whose loops would otherwise run unbounded or allocate what they
 # plan: the keys that size the loops and the steps they plan.  kneading_data
-# reads 8 itineraries; the conjugacy's shooting search and two kneading
+# reads 8 itineraries, at least as long as the word that admissible then
+# copies and compares at each of its n shifts, and realize pulls back one
+# cylinder per letter; the conjugacy's shooting search and two kneading
 # checks read at most 80 itineraries and its batch 2 x grid more, each
 # match_depth long; a path step runs the segment engine at most
 # max_iterations times
@@ -238,7 +246,10 @@ PLANNED_STEPS = {
                     * (c["cloud"]["burn_in"] + c["cloud"]["depth"])),
     "itinerary": ("engine.depth", lambda c: c["engine"]["depth"]),
     "kneading": ("8 x engine.depth", lambda c: 8 * c["engine"]["depth"]),
-    "admissible": ("8 x engine.depth", lambda c: 8 * c["engine"]["depth"]),
+    "admissible": ("8 x max(engine.depth, word.letters) + 2 x word.letters^2",
+                   lambda c: 8 * max(c["engine"]["depth"], _letter_count(c))
+                   + 2 * _letter_count(c) ** 2),
+    "realize": ("word.letters", _letter_count),
     "conjugacy": ("conjugacy.match_depth x (80 + 2 x conjugacy.grid)",
                   lambda c: c["conjugacy"]["match_depth"]
                   * (80 + 2 * c["conjugacy"]["grid"])),

@@ -198,28 +198,24 @@ def bisect_increasing_np(fn, target, lo, hi):
     increasing in each lane.  A lane whose target is at or below fn(lo)
     returns lo, one at or above fn(hi) returns hi; every other lane follows
     ``bisect_increasing`` at ROOT_TOL, so each lane equals the scalar result
-    bit for bit when fn does.
+    bit for bit when fn does: a lane clamped at an end or hit exactly
+    collapses lo and hi onto that value, one at most ROOT_TOL wide or at
+    float resolution stops moving, and every lane returns 0.5 * (lo + hi).
     """
     target = np.asarray(target, dtype=float)
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    at_lo = target <= fn(lo)
-    done = at_lo | (target >= fn(hi))
-    out = np.where(at_lo, lo, hi)
-    active = ~done & (hi - lo > ROOT_TOL)
-    while active.any():
+    at_lo, at_hi = target <= fn(lo), target >= fn(hi)
+    hi = np.where(at_lo, lo, hi)
+    lo = np.where(at_hi, hi, lo)
+    while True:
         mid = 0.5 * (lo + hi)
-        active &= (lo < mid) & (mid < hi)
+        active = (hi - lo > ROOT_TOL) & (lo < mid) & (mid < hi)
+        if not active.any():
+            return mid
         value = fn(mid)
-        hit = active & (value == target)
-        out = np.where(hit, mid, out)
-        done |= hit
-        active &= ~hit
-        below = active & (value < target)
-        lo = np.where(below, mid, lo)
-        hi = np.where(active & ~below, mid, hi)
-        active &= hi - lo > ROOT_TOL
-    return np.where(done, out, 0.5 * (lo + hi))
+        lo = np.where(active & (value <= target), mid, lo)
+        hi = np.where(active & ~(value < target), mid, hi)
 
 
 def branch_lanes(model: MapModel, two):

@@ -19,6 +19,7 @@ with epsilon offsets, so boundary itineraries are exact.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -163,35 +164,35 @@ def _empty_slack(model: MapModel) -> float:
 
 # --- itineraries ----------------------------------------------------------
 
-def _letter_of(cuts, sp: SignedPoint) -> Letter:
-    """Region letter of a signed point, given its model's nonempty regions as
-    (lo, hi, letter) in circle order.
+def _letter_of(lows, letters, sp: SignedPoint) -> Letter:
+    """Region letter of a signed point, given the lower ends (cuts) and the
+    letters of its model's nonempty regions, in circle order.
 
-    A point within SNAP of a region's lower end sits on the nearest such
-    cut, and its side picks the region after or before it.
+    The point lies in the region after the last cut at or below it.  Within
+    SNAP of that region's nearer end (c+ ends the last region) it sits on
+    that cut, the first on a tie, and its side picks the region after or
+    before it.
     """
     x = norm1(sp.x)
-    dists = [circle_dist(x, lo) for lo, _, _ in cuts]
-    i = min(range(len(cuts)), key=dists.__getitem__)
-    if dists[i] <= SNAP:
-        return cuts[i if sp.side == PLUS else i - 1][2]
-    for lo, hi, letter in cuts:
-        if lo < x < hi:
-            return letter
-    # not reached: a point outside every open region is on a cut, within SNAP
-    return cuts[-1][2]
+    i = bisect_right(lows, x) - 1
+    j = (i + 1) % len(lows)
+    d, near = min((circle_dist(x, lows[i]), i), (circle_dist(x, lows[j]), j))
+    if d <= SNAP:
+        return letters[near if sp.side == PLUS else near - 1]
+    return letters[i]
 
 
 def itinerary(model: MapModel, sp: SignedPoint, depth: int) -> Word:
     """Depth-k one-sided itinerary via the signed-point automaton."""
-    cuts = [(r.lo, r.hi, letter)
-            for letter, r in zip(Letter, _regions(model)) if r is not None]
-    letters = []
+    table = _regions(model)
+    letters = [letter for letter, r in zip(Letter, table) if r is not None]
+    lows = [table[letter].lo for letter in letters]
+    out = []
     cur = SignedPoint(norm1(sp.x), sp.side)
     for _ in range(depth):
-        letters.append(_letter_of(cuts, cur))
+        out.append(_letter_of(lows, letters, cur))
         cur = eval_signed(model, cur)
-    return Word(tuple(letters))
+    return Word(tuple(out))
 
 
 def itinerary_many(model: MapModel, xs, side: int, depth: int) -> list[Word]:
@@ -199,11 +200,10 @@ def itinerary_many(model: MapModel, xs, side: int, depth: int) -> list[Word]:
 
     Steps every lane with ``f_np``, or with the ``eval_signed`` automaton
     where a lane sits within SNAP of a discontinuity.  Letters follow
-    ``_letter_of``: a lane within SNAP of a region's lower end reads the
-    region after the nearest such cut (side +) or before it (side -), and
-    any other lane reads the region that holds it.  Each word equals
-    ``itinerary`` of its signed point while ``f_np`` equals ``model.f``,
-    that is, while ``np.sin`` equals ``math.sin`` on the profile arguments.
+    ``_letter_of``, with ``searchsorted`` for ``bisect_right``.  Each word
+    equals ``itinerary`` of its signed point while ``f_np`` equals
+    ``model.f``, that is, while ``np.sin`` equals ``math.sin`` on the
+    profile arguments.
     """
     table = _regions(model)
     letters = [letter for letter, r in zip(Letter, table) if r is not None]
@@ -213,11 +213,12 @@ def itinerary_many(model: MapModel, xs, side: int, depth: int) -> list[Word]:
     x = np.asarray(xs, dtype=float) % 1.0
     out = np.empty((depth, x.size), dtype=np.intp)
     for k in range(depth):
-        dists = circle_dist_np(x[:, None], lows)
-        nearest = dists.argmin(axis=1)
-        out[k] = np.where(dists.min(axis=1) <= SNAP,
-                          nearest if side == PLUS else nearest - 1,
-                          np.searchsorted(lows, x, "right") - 1)
+        i = np.searchsorted(lows, x, "right") - 1
+        j = (i + 1) % lows.size
+        di, dj = circle_dist_np(x, lows[i]), circle_dist_np(x, lows[j])
+        # on a tie the first cut, which is the next end only where it is c+
+        near = np.where((dj < di) | ((dj == di) & (j < i)), j, i)
+        out[k] = np.where(np.minimum(di, dj) <= SNAP, near if side == PLUS else near - 1, i)
         at_plus, at_minus = model.on_discontinuity_np(x)
         x = np.where(at_plus, from_plus, np.where(at_minus, from_minus, model.f_np(x)))
     return [Word(tuple(letters[i] for i in row)) for row in out.T.tolist()]

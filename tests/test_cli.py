@@ -767,6 +767,10 @@ _CAP_CASES = [
      "run_histogram"),
     ("path", {"path": {"steps": 10**15}}, "path.steps", "region_verdicts"),
     ("sweep", {"sweep": {"grid_nx": 10**15}}, "sweep.grid_nx", "run_sweep"),
+    # is_admissible copies and compares each of the word's n shifts: 2 n^2
+    # steps, 3.2 x 10^7 for this word, while engine.depth alone plans 240
+    ("admissible", {"word": {"letters": " ".join(["B0"] * 4_000)}}, "word.letters",
+     "kneading_data"),
 ]
 
 
@@ -808,6 +812,28 @@ def test_planned_steps_cap_cases_patch_a_reached_name(command, loop, tmp_path, m
     cfg.write_text(json.dumps(_SMALL))
     assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 0
     assert calls
+
+
+def test_planned_steps_cap_counts_the_realized_word(tmp_path, capsys, monkeypatch):
+    # realize pulls back one cylinder per letter, so its row is the word's
+    # letter count, split as Word.from_string splits it: one letter past the
+    # cap exits 4 before realize runs, and a word at the cap reaches it
+    calls = []
+    reached = cli.realize
+
+    def recording(model, word):
+        calls.append(word.depth)
+        return reached(model, word)
+
+    monkeypatch.setattr(cli, "MAX_STEPS", 1_000)
+    monkeypatch.setattr(cli, "realize", recording)
+    cfg = tmp_path / "cfg.json"
+    for n, code in ((1_001, 4), (1_000, 0)):
+        cfg.write_text(json.dumps({"word": {"letters": ", ".join(["B0"] * n)}}))
+        assert cli.main(["realize", "--config", str(cfg), "--out", str(tmp_path)]) == code
+        err = capsys.readouterr().err
+        assert ("word.letters" in err and err.count("\n") == 1) == (code == 4)
+    assert calls == [1_000]
 
 
 def test_planned_steps_cap_clears_every_shipped_config():
@@ -999,6 +1025,18 @@ def test_cloud_pgm_holds_only_the_hit_counter(tmp_path):
              for n in (512, 1024)]
     assert (tmp_path / "cloud.pgm").stat().st_size == len(b"P5\n1024 1024\n255\n") + 1024 ** 2
     assert peaks[1] - peaks[0] <= 5 * (1024 ** 2 - 512 ** 2)
+
+
+@pytest.mark.parametrize("peak", [1, 2, 3, 255, 256, 1_000_003])
+def test_cloud_shade_table_is_built_in_place(peak):
+    # the table equals 255.0 * k / peak computed through an int64 arange and
+    # float temporaries, but built in place its float64 values and uint8
+    # copy peak at 9 bytes per entry, where the temporaries would take 16
+    hits = CloudHits(8, 8)
+    hits.hits[3, 5] = peak
+    table, used = _python_peak(hits.shade)
+    assert np.array_equal(table, (255.0 * np.arange(peak + 1) / peak).astype(np.uint8))
+    assert table[-1] == 255 and used <= 10 * (peak + 1) + 4096
 
 
 # seeds 1-3, lane-block edges, one kept step without burn-in, a model whose

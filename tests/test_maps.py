@@ -189,6 +189,23 @@ def test_bisect_increasing_np_exact_hits_and_clamps():
     assert abs(want[6] - 0.6) <= ROOT_TOL
     assert fn(want[7]) != targets[7] and hi[7] - lo[7] > ROOT_TOL
     assert bisect_increasing_np(fn, targets[:0], lo[:0], hi[:0]).shape == (0,)
+    # lanes bracketed at float resolution on entry, (lo, nextafter(lo, 1)),
+    # and lanes at most ROOT_TOL wide on entry, on fn(x) = x - lo, which is
+    # exact on each bracket and leaves room for targets strictly between its
+    # end values; each lane also gets targets at and beyond both end values.
+    # From 2**13 up one float step is wider than ROOT_TOL, so those lanes
+    # stop because their midpoint no longer splits them
+    lo = [0.3, 0.7, 0.25, 2.0 ** 13, big, 0.3, 0.7, 0.25, 0.0]
+    hi = [math.nextafter(a, math.inf) for a in lo[:5]] + [
+        0.3 + ROOT_TOL, 0.7 + ROOT_TOL / 2, 0.25 + ROOT_TOL / 3, ROOT_TOL]
+    lanes = [(a, b, (b - a) * s) for a, b in zip(lo, hi)
+             for s in (-1.0, 0.0, 0.25, 0.5, 0.75, 1.0, 2.0)]
+    lo, hi, targets = map(np.array, zip(*lanes))
+    got = bisect_increasing_np(lambda x: x - lo, targets, lo, hi)
+    want = [_clamped_bisect(lambda x: x - a, t, a, b) for a, b, t in lanes]
+    assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
+    assert all(0.0 < t < b - a for a, b, t in lanes[2::7] + lanes[3::7] + lanes[4::7])
+    assert all(b - a > ROOT_TOL for a, b, _ in lanes[21:35])
 
 
 def test_pinch_property():

@@ -26,6 +26,7 @@ from lorenzlab.symbolic import (
     Letter,
     Word,
     _interpolation,
+    _regions,
     build_conjugacy,
     is_admissible,
     itinerary,
@@ -394,6 +395,73 @@ def test_itinerary_many_matches_itinerary(model, depth, xs, offsets):
         assert all(isinstance(l, Letter) for w in batch for l in w.letters)
         assert [w.letters for w in batch] == [
             itinerary(model, SignedPoint(x, side), depth).letters for x in pts]
+
+
+def _letter_over_every_cut(model, sp):
+    """The letter rule stated over every cut: the nearest cut (the first on a
+    tie) when it is within SNAP, its side picking the region after or before
+    it, and otherwise the open region that holds the point."""
+    cuts = [(r.lo, r.hi, letter) for letter, r in zip(Letter, _regions(model))
+            if r is not None]
+    x = norm1(sp.x)
+    dists = [circle_dist(x, lo) for lo, _, _ in cuts]
+    i = min(range(len(cuts)), key=dists.__getitem__)
+    if dists[i] <= SNAP:
+        return cuts[i if sp.side == PLUS else i - 1][2]
+    for lo, hi, letter in cuts:
+        if lo < x < hi:
+            return letter
+    raise AssertionError(f"{x!r} is in no open region and on no cut")
+
+
+def _letter_fuzz_models():
+    """300 random models, and cusps within 1e-7 of c+ on both sides (inside
+    SNAP, where a* or b* is None, and just outside it)."""
+    rng = np.random.default_rng(28)
+    models = []
+    while len(models) < 300:
+        c, t1, t2, a, b = rng.uniform([0.38, 0.0, 0.0, 0.0, 0.0], [0.62, 0.19, 0.19, 1.0, 1.0])
+        try:
+            models.append(M(a, b, c_minus=c, theta1=t1, theta2=t2))
+        except ExpansionTooWeak:
+            pass
+    near = [s * d for d in (1e-7, 1e-8, 2e-9, SNAP, 5e-10, 1e-12, 0.0) for s in (1, -1)]
+    models += [M(d, 0.3) for d in near] + [M(0.6, d) for d in near]
+    models += [M(d, d, c_minus=0.45, theta1=0.1, theta2=0.05) for d in near]
+    return models
+
+
+def test_letter_lookup_matches_every_cut_rule():
+    # both letter forms, the bisection in itinerary and the searchsorted in
+    # itinerary_many, equal the rule over every cut on each (model, point,
+    # side): every cut moved by 0, 1e-12, 5e-10 and SNAP (1 +- 1e-3) either
+    # way, and by a whole turn either way
+    moves = [0.0, 1e-12, 5e-10, SNAP * (1 - 1e-3), SNAP * (1 + 1e-3)]
+    checked = 0
+    for model in _letter_fuzz_models():
+        cuts = [r.lo for r in _regions(model) if r is not None]
+        pts = [cut + s * d + turn for cut in cuts for d in moves for s in (1, -1)
+               for turn in (0.0, 1.0, -1.0)]
+        for side in (PLUS, MINUS):
+            want = [_letter_over_every_cut(model, SignedPoint(x, side)) for x in pts]
+            assert [itinerary(model, SignedPoint(x, side), 1)[0] for x in pts] == want
+            assert [w[0] for w in itinerary_many(model, pts, side, 1)] == want
+            checked += len(pts)
+    assert checked > 30_000
+
+
+def test_letter_lookup_takes_the_first_cut_on_a_tie():
+    # with alpha = 1 - 2e-9 the cut a* is 8.7e-10, and x = a*/2 is exactly
+    # as far from c+ = 0 as from a*, both within SNAP: like the rule over
+    # every cut, both forms take c+, the first cut, so side + reads A0 and
+    # side - reads B1, the region before c+
+    m = M(1.0 - 2e-9, 0.3)
+    x = m.a_star / 2
+    assert circle_dist(x, 0.0) == circle_dist(x, m.a_star) <= SNAP
+    for side, word in ((PLUS, "A0 B1 A1"), (MINUS, "B1 A1 B0")):
+        assert _letter_over_every_cut(m, SignedPoint(x, side)) == W(word)[0]
+        assert str(itinerary(m, SignedPoint(x, side), 3)) == word
+        assert str(itinerary_many(m, [x], side, 3)[0]) == word
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
