@@ -80,15 +80,18 @@ def _cocycle(base: MapModel, x):
 
 
 def apply_skew_np(skew: SkewModel, x, y):
-    """Vectorized skew step; callers keep samples off the discontinuities."""
+    """Vectorized skew step; callers keep samples off the discontinuities.
+    Each lane takes q, start, L, theta / 2 pi and eta from one two-column
+    table and evaluates ``BranchProfile.g_np`` in its order."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    two = x >= skew.base.c_minus
-    q, start, profile = branch_lanes(skew.base, two)
+    base, p1, p2 = skew.base, skew.base.profile1, skew.base.profile2
+    table = np.array([[base.q1, base.q2], [0.0, base.c_minus], [p1.length, p2.length],
+                      [p1.theta / TWO_PI, p2.theta / TWO_PI], [skew.eta1, skew.eta2]])
+    q, start, L, k, eta = np.take(table, (x >= base.c_minus).astype(np.intp), axis=1)
     t = x - start
-    rho = np.sin(np.pi * t / profile.length)
-    eta = np.where(two, skew.eta2, skew.eta1)
-    return (q + profile.g_np(t)) % 1.0, eta + skew.kappa * rho * y
+    rho = np.sin(np.pi * t / L)
+    return (q + (t / L + k * np.sin(TWO_PI * t / L))) % 1.0, eta + skew.kappa * rho * y
 
 
 class ConeReport(NamedTuple):
@@ -107,7 +110,13 @@ class ConeReport(NamedTuple):
 
 
 def _cross_discontinuity(base: MapModel, x):
-    """Step samples within SNAP of c+ or c- across it, as run_histogram does."""
+    """Step samples within SNAP of c+ or c- across it, as run_histogram does.
+
+    Only a lane in a guard window, outside [2 SNAP, 1 - 2 SNAP] or within
+    2 SNAP of c-, can be that close, so x comes back as it is when none is."""
+    guard = (x < 2.0 * SNAP) | (x > 1.0 - 2.0 * SNAP) | (np.abs(x - base.c_minus) < 2.0 * SNAP)
+    if not guard.any():
+        return x
     bad = np.logical_or(*base.on_discontinuity_np(x))
     return np.where(bad, np.mod(x + 1e-9, 1.0), x)
 
@@ -335,11 +344,12 @@ class DegreeMatrix(NamedTuple):
 def family_degree(family, step: float = 1e-3) -> DegreeMatrix:
     """Winding matrix of the cusp-position map of a torus family.
 
-    ``family`` maps (mu1, mu2) on the parameter torus to a MapModel; the two
-    cusps are tracked continuously along the generator loops mu1 = s and
-    mu2 = s (s in [0, 1], the other parameter 0), and their net signed
-    windings past the upper discontinuity fill a 2x2 integer matrix.  The
-    family is essential exactly when the determinant is one.
+    ``family`` maps (mu1, mu2) on the parameter torus to the cusp pair
+    (q1, q2) of its model there; the two cusps are tracked continuously along
+    the generator loops mu1 = s and mu2 = s (s in [0, 1], the other parameter
+    0), and their net signed windings past the upper discontinuity fill a 2x2
+    integer matrix.  The family is essential exactly when the determinant is
+    one.
     """
     n = max(2, int(round(1.0 / step)))
     entries = [[0, 0], [0, 0]]
@@ -348,8 +358,7 @@ def family_degree(family, step: float = 1e-3) -> DegreeMatrix:
         prev = None
         for i in range(n + 1):
             s = i / n
-            model = family(s, 0.0) if j == 0 else family(0.0, s)
-            qs = (model.q1, model.q2)
+            qs = family(s, 0.0) if j == 0 else family(0.0, s)
             if prev is not None:
                 for k in range(2):
                     d = (qs[k] - prev[k] + 0.5) % 1.0 - 0.5

@@ -393,6 +393,14 @@ class SpanResult(NamedTuple):
     trapping: TrappingCertificate | None
 
 
+def rule_span(verdict: RegionVerdict) -> Arc | None:
+    """The span a theorem gives for the verdict, or None.  A two-sided
+    attractor meets every stable leaf, so its span is the full circle: an
+    expanding Lorenz map with slope above sqrt(2), here above phi, is locally
+    eventually onto its core (Glendinning and Sparrow, Physica D 62, 1993)."""
+    return Arc.full_circle() if verdict.dynamics == TWO_SIDED else None
+
+
 def attractor_span(model: MapModel, maxN: int = 60, eps: float = 1e-3,
                    verdict: RegionVerdict | None = None) -> SpanResult:
     """Smallest arc of stable leaves met by the attractor.
@@ -402,7 +410,8 @@ def attractor_span(model: MapModel, maxN: int = 60, eps: float = 1e-3,
     whose certificate (returned as ``trapping``) keeps every iterate there;
     the span is the complement of the largest gap left in the accumulated
     union, and a full ``span`` means every gap has shrunk below the engine
-    resolution.
+    resolution.  Where ``rule_span`` gives the span, that is ``span``, and
+    the engine's certificate is its evidence.
     """
     v = verdict if verdict is not None else classify(model)
     trap = trapping_interval(model, v) if v.dynamics in (UP_LORENZ, DOWN_LORENZ) else None
@@ -414,6 +423,8 @@ def attractor_span(model: MapModel, maxN: int = 60, eps: float = 1e-3,
     seed = Arc(model.q1, norm1(model.q1 + delta))
 
     cert = iterate_segments(model, seed, maxN=maxN, eps=eps)
-    gap = max(cert.gap_arcs, key=lambda g: g.length, default=None)
-    span = Arc.full_circle() if gap is None or gap.length < eps else Arc(gap.end, gap.start)
+    span = rule_span(v)
+    if span is None:
+        gap = max(cert.gap_arcs, key=lambda g: g.length, default=None)
+        span = Arc.full_circle() if gap is None or gap.length < eps else Arc(gap.end, gap.start)
     return SpanResult(span=span, certificate=cert, trapping=trap)

@@ -33,7 +33,7 @@ from .annulus import (
     family_degree,
     verify_cones,
 )
-from .atlas import attractor_span, classify, region_verdicts
+from .atlas import attractor_span, classify, region_verdicts, rule_span
 from .circle import Arc, norm1
 from .errors import (
     BudgetError,
@@ -440,9 +440,11 @@ def run_sweep(config: dict):
 def run_path(config: dict):
     """Classify and measure the attractor span along a parameter segment.
 
-    Every step is classified by one ``region_verdicts`` call.  Emits one CSV
-    row per step and reports every step where the span length jumps by more
-    than 0.25 (the collision detector).
+    Every step is classified by one ``region_verdicts`` call; a two-sided
+    step takes ``rule_span``'s full circle without a model, and every other
+    one runs ``attractor_span``.  Emits one CSV row per step and reports
+    every step where the span length jumps by more than 0.25 (the collision
+    detector).
     """
     pt = config["path"]
     eng = config["engine"]
@@ -458,12 +460,13 @@ def run_path(config: dict):
     prev_len = None
     for k, (alpha, beta, verdict) in enumerate(zip(alphas.tolist(), betas.tolist(),
                                                    verdicts)):
-        model = build_model(params._replace(alpha=alpha, beta=beta))
-        res = attractor_span(model, maxN=eng["max_iterations"], eps=eng["eps"],
-                             verdict=verdict)
-        trap = "" if res.trapping is None else res.trapping.invariance_margin
-        length = res.span.length
-        rows.append([k, alpha, beta, verdict.stratum, length, res.span.full, trap])
+        span, trap = rule_span(verdict), ""
+        if span is None:
+            res = attractor_span(build_model(params._replace(alpha=alpha, beta=beta)),
+                                 maxN=eng["max_iterations"], eps=eng["eps"], verdict=verdict)
+            span, trap = res.span, "" if res.trapping is None else res.trapping.invariance_margin
+        length = span.length
+        rows.append([k, alpha, beta, verdict.stratum, length, span.full, trap])
         traps.append("" if trap == "" else f"{trap:.12g}")
         if prev_len is not None and abs(length - prev_len) > 0.25:
             jumps.append(k)
@@ -483,6 +486,33 @@ def run_path(config: dict):
 HISTOGRAM_CHUNK = 8192
 
 
+def _histogram_orbit(model: MapModel, x: float):
+    """The orbit of x under ``model.f``, a point that ``model.on_discontinuity``
+    finds nudged by 1e-9 before each step.  Both methods are inlined with the
+    branch constants bound once, and every expression keeps their order, so
+    each point is the same double."""
+    c, q1, q2 = model.c_minus, model.q1, model.q2
+    L1, L2 = model.profile1.length, model.profile2.length
+    k1, k2 = model.profile1.theta / TWO_PI, model.profile2.theta / TWO_PI
+    # the guard windows: off them, d and e below lie at least 2 SNAP, less a
+    # few ulps, from 0 and from 1, so the SNAP test cannot pass there
+    lo, hi, c_lo, c_hi = 2.0 * SNAP, 1.0 - 2.0 * SNAP, c - 2.0 * SNAP, c + 2.0 * SNAP
+    sin = math.sin
+    while True:
+        if not lo <= x <= hi or c_lo < x < c_hi:
+            d, e = (0.0 - x) % 1.0, (c - x) % 1.0
+            if d <= SNAP or 1.0 - d <= SNAP or e <= SNAP or 1.0 - e <= SNAP:
+                x = norm1(x + 1e-9)
+        if 0.0 <= x < c:
+            y = q1 + (x / L1 + k1 * sin(TWO_PI * x / L1))
+        else:
+            t = x - c
+            y = q2 + (t / L2 + k2 * sin(TWO_PI * t / L2))
+        # norm1(y), which is y - 1 on [1, 2), exactly by Sterbenz, and y on [0, 1)
+        x = y - 1.0 if 1.0 <= y < 2.0 else y if 0.0 <= y < 1.0 else norm1(y)
+        yield x
+
+
 def run_histogram(config: dict):
     """Bin a single long orbit over the circle; deterministic for fixed seed.
 
@@ -490,30 +520,7 @@ def run_histogram(config: dict):
     h = config["histogram"]
     if h["orbit_length"] < h["bins"]:
         raise ValidationError("histogram.orbit_length", "must be >= bins")
-    model = _model(config)
-    c, q1, q2 = model.c_minus, model.q1, model.q2
-    L1, L2 = model.profile1.length, model.profile2.length
-    k1, k2 = model.profile1.theta / TWO_PI, model.profile2.theta / TWO_PI
-    sin, floor = math.sin, math.floor
-
-    def orbit(x):
-        # model.f after a nudge off a point that model.on_discontinuity
-        # finds, with the branch constants bound once; every expression keeps
-        # the order of those methods, so each point is the same double
-        while True:
-            d, e = (0.0 - x) % 1.0, (c - x) % 1.0
-            if d <= SNAP or 1.0 - d <= SNAP or e <= SNAP or 1.0 - e <= SNAP:
-                x = norm1(x + 1e-9)
-            if 0.0 <= x < c:
-                y = q1 + (x / L1 + k1 * sin(TWO_PI * x / L1))
-            else:
-                t = x - c
-                y = q2 + (t / L2 + k2 * sin(TWO_PI * t / L2))
-            y -= floor(y)
-            x = 0.0 if y >= 1.0 else y
-            yield x
-
-    points = orbit(Random(h["seed"]).random())
+    points = _histogram_orbit(_model(config), Random(h["seed"]).random())
     for _ in islice(points, h["burn_in"]):      # stepped, never stored
         pass
     n, counts = h["orbit_length"], np.zeros(h["bins"], dtype=np.int64)
@@ -528,17 +535,15 @@ def run_histogram(config: dict):
 
 
 def _degree_family(config: dict):
-    params = ModelParams(**config["model"])
+    """The cusp pair (norm1(alpha), norm1(beta)) of the configured family at
+    (mu1, mu2); no other check of ``build_model`` reads alpha or beta."""
+    a, b = _model(config).params[:2]
     kind = config["degree"]["family"]
-
-    def build(alpha, beta):
-        return build_model(params._replace(alpha=alpha, beta=beta))
-
     if kind == "rotation":
-        return lambda m1, m2: build(params.alpha + m1, params.beta + m2)
+        return lambda m1, m2: (norm1(a + m1), norm1(b + m2))
     if kind == "constant":
-        return lambda m1, m2: build(params.alpha, params.beta)
-    return lambda m1, m2: build(params.alpha + m2, params.beta + m1)
+        return lambda m1, m2: (norm1(a), norm1(b))
+    return lambda m1, m2: (norm1(a + m2), norm1(b + m1))
 
 
 # ---------------------------------------------------------------------------

@@ -202,10 +202,11 @@ def test_c10_skew_hypotheses():
 
 def test_c11_essential_families():
     def rotation(m1, m2):
-        return M((0.6 + m1) % 1.0, (0.3 + m2) % 1.0)
+        m = M((0.6 + m1) % 1.0, (0.3 + m2) % 1.0)
+        return m.q1, m.q2
 
     def constant(m1, m2):
-        return M0
+        return M0.q1, M0.q2
 
     deg = family_degree(rotation)
     assert deg.entries == ((1, 0), (0, 1))

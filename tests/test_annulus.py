@@ -410,6 +410,63 @@ def test_attractor_cloud_matches_whole_cloud_reference(skew, kw):
         for lo in range(0, args["samples"], CLOUD_LANES)]
 
 
+def guard_ladder(anchor, rungs=4):
+    """anchor, and anchor +- SNAP and +- 2 SNAP, each with its ``rungs``
+    nearest doubles either side: the edges of the SNAP test and of the guard
+    windows around anchor."""
+    points = []
+    for offset in (0.0, SNAP, -SNAP, 2.0 * SNAP, -2.0 * SNAP):
+        up = down = anchor + offset
+        points.append(up)
+        for _ in range(rungs):
+            up, down = math.nextafter(up, math.inf), math.nextafter(down, -math.inf)
+            points += [up, down]
+    return points
+
+
+def _cross_discontinuity_reference(base, x):
+    """_cross_discontinuity as it was: the SNAP masks of every lane."""
+    bad = np.logical_or(*base.on_discontinuity_np(x))
+    return np.where(bad, np.mod(x + 1e-9, 1.0), x)
+
+
+def _apply_skew_np_reference(skew, x, y):
+    """apply_skew_np as it was: one BranchProfile of per-lane arrays, and
+    theta / 2 pi divided per lane."""
+    two = x >= skew.base.c_minus
+    q, start, profile = branch_lanes(skew.base, two)
+    t = x - start
+    rho = np.sin(np.pi * t / profile.length)
+    eta = np.where(two, skew.eta2, skew.eta1)
+    return (q + profile.g_np(t)) % 1.0, eta + skew.kappa * rho * y
+
+
+@pytest.mark.parametrize("c", [0.45, 0.5, 0.55])
+def test_cloud_step_matches_reference_on_guard_ladders(c):
+    # the SNAP test runs only when a lane lies in a guard window, and the
+    # step gathers its branch data from a table: on ladders around c+ = 0, c-
+    # and 1, each lane alone, all together and mixed with random lanes, both
+    # equal the old step bodies bit for bit
+    skew = build_skew(M(0.77, 0.21, c_minus=c, theta1=0.1, theta2=0.08), 0.2,
+                      eta1=0.3, eta2=-0.1)
+    ladder = [x for anchor in (0.0, c, 1.0) for x in guard_ladder(anchor)]
+    rng = np.random.default_rng(11)
+    blocks = [np.array([x]) for x in ladder] + [np.array(ladder)]
+    blocks += [np.append(rng.random(100), x) for x in ladder[::7]]
+    for x in blocks:
+        y = rng.uniform(-0.95, 0.95, x.size)
+        crossed = _cross_discontinuity(skew.base, x)
+        want = _cross_discontinuity_reference(skew.base, x)
+        assert crossed.tobytes() == want.tobytes()
+        got_x, got_y = apply_skew_np(skew, crossed, y)
+        want_x, want_y = _apply_skew_np_reference(skew, want, y)
+        assert got_x.tobytes() == want_x.tobytes()
+        assert got_y.tobytes() == want_y.tobytes()
+    # a block with no lane in a guard window comes back as it is
+    x = np.array([2.0 * SNAP, 0.5 * c, c - 3.0 * SNAP, c + 3.0 * SNAP, 1.0 - 2.0 * SNAP])
+    assert _cross_discontinuity(skew.base, x) is x
+
+
 def test_np_sin_matches_math_sin_on_cloud_step_arguments(monkeypatch):
     # cloud_blocks steps its state CLOUD_LANES lanes at a time.  That gives
     # the bits of a step of the whole array only while no lane's result
@@ -439,15 +496,19 @@ def test_np_sin_matches_math_sin_on_cloud_step_arguments(monkeypatch):
                 assert np.array_equal(np.sin(arg[lo:]), lanes[lo:])
 
 
+def _cusps(model):
+    return model.q1, model.q2
+
+
 def test_family_degree():
     def rot(m1, m2):
-        return M((0.6 + m1) % 1.0, (0.3 + m2) % 1.0)
+        return _cusps(M((0.6 + m1) % 1.0, (0.3 + m2) % 1.0))
 
     def const(m1, m2):
-        return M0
+        return _cusps(M0)
 
     def swap(m1, m2):
-        return M((0.6 + m2) % 1.0, (0.3 + m1) % 1.0)
+        return _cusps(M((0.6 + m2) % 1.0, (0.3 + m1) % 1.0))
 
     d = family_degree(rot)
     assert d.entries == ((1, 0), (0, 1)) and d.essential
@@ -459,7 +520,7 @@ def test_family_degree():
 
 def test_family_degree_tracking_lost():
     def jumpy(m1, m2):
-        return M((0.6 + (0.5 if m1 > 0.5 else 0.0)) % 1.0, 0.3)
+        return _cusps(M((0.6 + (0.5 if m1 > 0.5 else 0.0)) % 1.0, 0.3))
 
     with pytest.raises(TrackingLost):
         family_degree(jumpy, step=0.25)

@@ -904,6 +904,46 @@ def test_span_two_sided():
     assert s.span.full and s.span.length == 1.0
 
 
+def _two_sided_models(stratum, count, seed):
+    """Random models on one two-sided stratum, c- in [0.42, 0.58] and both
+    thetas in [0, 0.15]; on H1+-, H2+- the cusp is drawn within SNAP of c+
+    or c-.  Draws below the golden expansion bound are skipped."""
+    rng = np.random.default_rng(seed)
+    models = []
+    while len(models) < count:
+        c = rng.uniform(0.42, 0.58)
+        draw = dict(alpha=rng.random(), beta=rng.random(), c_minus=c,
+                    theta1=rng.uniform(0.0, 0.15), theta2=rng.uniform(0.0, 0.15))
+        if stratum in atlas.HOMOCLINIC:
+            cusp = "alpha" if stratum.startswith("H1") else "beta"
+            draw[cusp] = (0.0 if stratum.endswith("+") else c) + rng.uniform(-SNAP, SNAP)
+        try:
+            m = M(**draw)
+        except ExpansionTooWeak:
+            continue
+        if classify(m).stratum == stratum:
+            models.append(m)
+    return models
+
+
+def test_rule_span_covers_exactly_the_two_sided_strata():
+    for label, dynamics in STRATUM_DYNAMICS.items():
+        span = atlas.rule_span(RegionVerdict(label, 0.0, dynamics))
+        assert span == (Arc.full_circle() if dynamics == atlas.TWO_SIDED else None)
+
+
+@pytest.mark.parametrize("stratum", [atlas.O_MM, atlas.O_PM, atlas.O_MP, atlas.O_PP_TILDE,
+                                     atlas.H1P, atlas.H1M, atlas.H2P, atlas.H2M])
+def test_engine_reads_full_wherever_the_span_rule_does(stratum):
+    # the evidence for rule_span: on every two-sided stratum the segment
+    # engine, run by attractor_span at its default settings, leaves no gap
+    # of eps = 1e-3 or more, so it reads the full circle as the rule does
+    for m in _two_sided_models(stratum, 150, seed=5):
+        res = attractor_span(m)
+        assert res.span == atlas.rule_span(classify(m)) == Arc.full_circle()
+        assert all(g.length < 1e-3 for g in res.certificate.gap_arcs)
+
+
 def test_span_fat_lorenz():
     s = attractor_span(M(0.5, 0.5))
     assert s.span.full

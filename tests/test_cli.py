@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -23,6 +24,7 @@ from lorenzlab.errors import (
     ValidationError,
 )
 from lorenzlab.maps import ModelParams, build_model
+from test_annulus import guard_ladder
 
 
 def load(doc=None, **sections):
@@ -433,19 +435,19 @@ def _histogram_reference(config):
     return [[i, edges[i], edges[i + 1], int(c)] for i, c in enumerate(counts)]
 
 
+def _orbit_reference(model, x):
+    """The histogram orbit through the model's methods, ``on_discontinuity``
+    and then ``f``, one call each."""
+    while True:
+        x = model.f(x if model.on_discontinuity(x) is None else norm1(x + 1e-9))
+        yield x
+
+
 def _histogram_generator_reference(config):
     """run_histogram's rows and CSV bytes with the orbit stepped through the
-    model's methods, ``on_discontinuity`` and then ``f``, one call each."""
+    model's methods (``_orbit_reference``)."""
     h = config["histogram"]
-    model = cli._model(config)
-    f, on_discontinuity = model.f, model.on_discontinuity
-
-    def orbit(x):
-        while True:
-            x = f(x if on_discontinuity(x) is None else norm1(x + 1e-9))
-            yield x
-
-    points = orbit(cli.Random(h["seed"]).random())
+    points = _orbit_reference(cli._model(config), cli.Random(h["seed"]).random())
     for _ in islice(points, h["burn_in"]):
         pass
     n, counts = h["orbit_length"], np.zeros(h["bins"], dtype=np.int64)
@@ -492,6 +494,41 @@ def test_histogram_step_matches_method_reference(model, start, seed, monkeypatch
     assert b"".join(csv_blocks) == want_csv
 
 
+def _hex_orbit(points, n=40):
+    return [x.hex() for x in islice(points, n)]
+
+
+@pytest.mark.parametrize("c", [0.45, 0.5, 0.55])
+def test_histogram_orbit_matches_method_reference_on_guard_ladders(c):
+    # the SNAP test runs only inside the guard windows: starts on ladders at
+    # 0, +-SNAP and +-2 SNAP around c+ = 0, c- and 1 step as the methods do,
+    # inside the windows, on their edges and just outside them
+    model = build_model(ModelParams(alpha=0.77, beta=0.21, c_minus=c,
+                                    theta1=0.1, theta2=0.08))
+    for anchor in (0.0, c, 1.0):
+        for start in guard_ladder(anchor):
+            assert (_hex_orbit(cli._histogram_orbit(model, start))
+                    == _hex_orbit(_orbit_reference(model, start))), (anchor, start)
+
+
+@pytest.mark.parametrize("q1,x,y", [
+    (0.5, 0.25, 1.0),
+    (0.5 - 2.0**-53, 0.25, math.nextafter(1.0, 0.0)),
+    (1.5 - 2.0**-52, 0.25, math.nextafter(2.0, 0.0)),
+    (1.5, 0.25, 2.0),
+    (-0.75, 0.25, -0.25),
+    (-(2.0**-19) - 2.0**-70, 2.0**-20, -(2.0**-70)),     # wraps to 1.0, then 0.0
+], ids=["one", "below-one", "below-two", "two", "negative", "negative-tiny"])
+def test_histogram_orbit_wraps_as_floor(q1, x, y):
+    # a first step from x whose branch-1 value is exactly y (theta1 = 0, so
+    # g1(x) = x / L1); the wrap takes y - 1 on [1, 2), y on [0, 1) and
+    # y - floor(y) elsewhere, as f does
+    model = dataclasses.replace(build_model(ModelParams(0.6, 0.3, theta1=0.0)), q1=q1)
+    assert model.lift(1, x) == y
+    assert (_hex_orbit(cli._histogram_orbit(model, x))
+            == _hex_orbit(_orbit_reference(model, x)))
+
+
 @pytest.mark.parametrize("bins", [1000, 1023])
 @pytest.mark.parametrize("extra", [-1, 0, 1])
 def test_histogram_chunks_match_one_pass_reference(bins, extra):
@@ -520,6 +557,28 @@ def test_path_collision_detector_fires_once():
             assert isinstance(r[6], float) and r[6] > 0
         else:
             assert r[6] == ""
+
+
+def test_path_two_sided_steps_take_the_rule_span(monkeypatch):
+    # the span rule's one behaviour change: a two-sided step builds no model
+    # and runs no engine, so engine.max_iterations no longer reaches it.
+    # Every step of this path is O++_tilde, and with one engine step
+    # attractor_span's own certificate leaves a gap above eps on each
+    cfg = load(model={"theta1": 0.19}, engine={"max_iterations": 1},
+               path={"start": [0.781, 0.22], "end": [0.79, 0.22], "steps": 21})
+    built = []
+    monkeypatch.setattr(cli, "build_model", built.append)
+    rows, csv_blocks, report = cli.run_path(cfg)
+    assert not built
+    lines = b"".join(csv_blocks).decode().splitlines()[1:]
+    assert [line.split(",")[3:] for line in lines] == [["O++_tilde", "1", "1", ""]] * 21
+    assert report["jump_count"] == 0
+    monkeypatch.undo()
+    params = ModelParams(**cfg["model"])
+    for r in rows:
+        cert = atlas.attractor_span(build_model(params._replace(alpha=r[1], beta=r[2])),
+                                    maxN=1).certificate
+        assert max(g.length for g in cert.gap_arcs) >= 1e-3
 
 
 def test_path_steps_match_scalar_parametrization():
@@ -655,6 +714,7 @@ BAD_INPUTS = [
     ("path", '{"model": {"lambda_min_required": 1.0, "c_minus": 0.3, "alpha": 0.6, '
              '"beta": 0.2}}', 2),
     ("path", '{"model": {"c_minus": 0.3, "alpha": 0.6, "beta": 0.2}}', 3),  # ExpansionTooWeak
+    ("degree", '{"model": {"c_minus": 0.3}}', 3),                 # ExpansionTooWeak, once
     ("classify", None, 2),                                     # missing file
     ("classify", b"\xff\xfe{}", 2),                           # not UTF-8
     ("classify --out cfg.json/sub", "{}", 2),                  # --out under a file
@@ -1087,6 +1147,31 @@ def test_cmd_degree(tmp_path):
         payload = json.loads((tmp_path / "degree.json").read_text())
         assert payload["determinant"] == det
         assert payload["essential"] == (det == 1)
+
+
+_DEGREE_SHIFTS = {
+    "rotation": lambda m1, m2: (m1, m2),
+    "constant": lambda m1, m2: (0.0, 0.0),
+    "swapped": lambda m1, m2: (m2, m1),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_DEGREE_SHIFTS))
+def test_degree_family_gives_the_cusps_of_built_models(family, monkeypatch):
+    # the family yields (norm1(alpha), norm1(beta)), the cusps build_model
+    # gives, and validates the model once
+    cfg = load(model={"alpha": 0.77, "beta": -1.21, "c_minus": 0.45},
+               degree={"family": family})
+    params = ModelParams(**cfg["model"])
+    built = []
+    monkeypatch.setattr(cli, "build_model", lambda p: built.append(p) or build_model(p))
+    cusps = cli._degree_family(cfg)
+    assert built == [params]
+    for s in np.linspace(0.0, 1.0, 101).tolist():
+        for m1, m2 in ((s, 0.0), (0.0, s)):
+            da, db = _DEGREE_SHIFTS[family](m1, m2)
+            m = build_model(params._replace(alpha=params.alpha + da, beta=params.beta + db))
+            assert cusps(m1, m2) == (m.q1, m.q2)
 
 
 # JSON values the validators must sort out: bools, null, NaN and +-Infinity,
